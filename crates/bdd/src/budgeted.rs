@@ -1,19 +1,34 @@
-//! Budgeted twins of the recursive `Manager` operations.
+//! Checkpoint policies and the budgeted entry points of the recursive
+//! `Manager` operations.
 //!
-//! Each `try_*` operation computes exactly the same function as its
-//! unbudgeted counterpart but consults a [`ResourceGovernor`] at every
+//! Every recursive operator — `not`, `and`/`or`/`xor`, `ite`,
+//! quantification, `and_exists`, `compose`, `vector_compose`, `restrict`,
+//! `constrain` and the `*_many` reductions — has exactly one recursion,
+//! generic over a [`Policy`]. The policy is consulted at every
 //! *cache-miss* recursion step — the points where new work (and new
-//! nodes) can be created — and unwinds with [`ResourceExhausted`] the
-//! moment a limit trips. Cache hits and terminal shortcuts are free:
-//! an operation whose result still sits in the computed table succeeds
-//! even under a zero budget, which is exactly the CUDD `*Limit`
-//! contract. The computed table is lossy (direct-mapped, bounded), so
-//! "still sits" means "not yet overwritten by a colliding entry" — the
-//! most recent top-level result for a key always survives, older ones
-//! may have to be recomputed under budget.
+//! nodes) can be created — and at each public entry point, where it may
+//! hand a large operation to the shared-memory kernel. Two policies
+//! exist:
 //!
-//! The twins share the computed table (and its keys) with the
-//! unbudgeted operations, so:
+//! - [`Unbounded`], a zero-sized policy whose error type is
+//!   [`Infallible`]: it never stops and never dispatches, so the
+//!   unbudgeted methods (`Manager::and`, `not`, `exists`, …) compile to
+//!   the plain recursion;
+//! - [`ResourceGovernor`], which charges one step per cache-miss step,
+//!   unwinds with [`ResourceExhausted`] the moment a limit trips, and
+//!   dispatches to the concurrent kernel at `shared_workers >= 2`. The
+//!   `try_*` methods below run under it.
+//!
+//! Cache hits and terminal shortcuts are free: an operation whose result
+//! still sits in the computed table succeeds even under a zero budget,
+//! which is exactly the CUDD `*Limit` contract. The computed table is
+//! lossy (direct-mapped, bounded), so "still sits" means "not yet
+//! overwritten by a colliding entry" — the most recent top-level result
+//! for a key always survives, older ones may have to be recomputed under
+//! budget.
+//!
+//! Both policies share the one recursion and therefore the computed
+//! table and its keys, so:
 //!
 //! - by BDD canonicity, a successful `try_*` returns the *identical*
 //!   [`NodeId`] the unbudgeted operation would return, and
@@ -24,56 +39,99 @@
 //! cache entries; they are sound (every cached entry is a fully
 //! computed sub-result) and simply become reusable warm-up.
 
+use std::convert::Infallible;
+
 use crate::compose::SubstitutionId;
 use crate::governor::{ResourceExhausted, ResourceGovernor};
 use crate::manager::Op;
 use crate::shared::{self, SharedOp};
 use crate::{Manager, NodeId, VarId};
 
-impl Manager {
-    /// Whether the concurrent kernel is enabled for this manager. Only
-    /// the public entry points consult it — inner recursion stays on
-    /// the `_seq` twins, so a dispatched operation never re-probes the
-    /// size gate at every cache-miss step.
-    #[inline]
-    fn shared_enabled(&self) -> bool {
-        self.kernel_config().shared_workers >= 2
+/// What a recursive operator consults while it runs.
+pub(crate) trait Policy {
+    /// Why an operation stopped early.
+    type Error;
+    /// Called once per cache-miss recursion step with the manager's
+    /// live-node count.
+    fn checkpoint(&self, live_nodes: usize) -> Result<(), Self::Error>;
+    /// Called once at the entry of a dispatchable operation: `Some`
+    /// when the shared kernel computed the result.
+    fn dispatch(&self, m: &mut Manager, op: SharedOp) -> Result<Option<NodeId>, Self::Error>;
+}
+
+/// The policy of the unbudgeted methods: never stops, never dispatches.
+pub(crate) struct Unbounded;
+
+impl Policy for Unbounded {
+    type Error = Infallible;
+
+    #[inline(always)]
+    fn checkpoint(&self, _live_nodes: usize) -> Result<(), Infallible> {
+        Ok(())
     }
+
+    #[inline(always)]
+    fn dispatch(&self, _m: &mut Manager, _op: SharedOp) -> Result<Option<NodeId>, Infallible> {
+        Ok(None)
+    }
+}
+
+impl Policy for ResourceGovernor {
+    type Error = ResourceExhausted;
+
+    #[inline]
+    fn checkpoint(&self, live_nodes: usize) -> Result<(), ResourceExhausted> {
+        ResourceGovernor::checkpoint(self, live_nodes)
+    }
+
+    /// With [`crate::KernelConfig::shared_workers`] at `2+`, large calls
+    /// run on the work-stealing concurrent kernel; the result is the
+    /// same canonical node either way. Only entry points consult this —
+    /// inner recursion never re-probes the size gate at every step.
+    #[inline]
+    fn dispatch(&self, m: &mut Manager, op: SharedOp) -> Result<Option<NodeId>, ResourceExhausted> {
+        if m.kernel_config().shared_workers >= 2 {
+            shared::dispatch(m, op, self)
+        } else {
+            Ok(None)
+        }
+    }
+}
+
+/// The value of an [`Unbounded`] run, whose error type has no values.
+#[inline(always)]
+pub(crate) fn unbounded<T>(r: Result<T, Infallible>) -> T {
+    let Ok(v) = r;
+    v
+}
+
+impl Manager {
+    /// One dispatchable operation under `p`: the shared kernel if the
+    /// policy hands it there, the sequential recursion otherwise.
+    #[inline]
+    pub(crate) fn apply<P: Policy>(&mut self, op: SharedOp, p: &P) -> Result<NodeId, P::Error> {
+        if let Some(r) = p.dispatch(self, op)? {
+            return Ok(r);
+        }
+        match op {
+            SharedOp::Not(f) => self.not_rec(f, p),
+            SharedOp::And(f, g) => self.and_rec(f, g, p),
+            SharedOp::Or(f, g) => self.or_rec(f, g, p),
+            SharedOp::Xor(f, g) => self.xor_rec(f, g, p),
+            SharedOp::Ite(f, g, h) => self.ite_rec(f, g, h, p),
+            SharedOp::Exists(f, cube) => self.quant_rec(f, cube, Op::Exists, p),
+            SharedOp::Forall(f, cube) => self.quant_rec(f, cube, Op::Forall, p),
+            SharedOp::AndExists(f, g, cube) => self.and_exists_rec(f, g, cube, p),
+        }
+    }
+
     /// Budgeted [`Manager::not`].
     pub fn try_not(
         &mut self,
         f: NodeId,
         gov: &ResourceGovernor,
     ) -> Result<NodeId, ResourceExhausted> {
-        if self.shared_enabled() {
-            if let Some(r) = shared::dispatch(self, SharedOp::Not(f), gov)? {
-                return Ok(r);
-            }
-        }
-        self.try_not_seq(f, gov)
-    }
-
-    pub(crate) fn try_not_seq(
-        &mut self,
-        f: NodeId,
-        gov: &ResourceGovernor,
-    ) -> Result<NodeId, ResourceExhausted> {
-        match f {
-            NodeId::FALSE => return Ok(NodeId::TRUE),
-            NodeId::TRUE => return Ok(NodeId::FALSE),
-            _ => {}
-        }
-        let key = (Op::Not, f.0, 0, 0);
-        if let Some(r) = self.cache.get(key) {
-            return Ok(r);
-        }
-        gov.checkpoint(self.live_node_count())?;
-        let n = self.node(f);
-        let lo = self.try_not_seq(n.lo, gov)?;
-        let hi = self.try_not_seq(n.hi, gov)?;
-        let r = self.mk(n.var, lo, hi);
-        self.cache.insert(key, r);
-        Ok(r)
+        self.apply(SharedOp::Not(f), gov)
     }
 
     /// Budgeted [`Manager::and`]. With [`crate::KernelConfig::shared_workers`]
@@ -85,41 +143,7 @@ impl Manager {
         g: NodeId,
         gov: &ResourceGovernor,
     ) -> Result<NodeId, ResourceExhausted> {
-        if self.shared_enabled() {
-            if let Some(r) = shared::dispatch(self, SharedOp::And(f, g), gov)? {
-                return Ok(r);
-            }
-        }
-        self.try_and_seq(f, g, gov)
-    }
-
-    pub(crate) fn try_and_seq(
-        &mut self,
-        f: NodeId,
-        g: NodeId,
-        gov: &ResourceGovernor,
-    ) -> Result<NodeId, ResourceExhausted> {
-        if f == g {
-            return Ok(f);
-        }
-        if f.is_false() || g.is_false() {
-            return Ok(NodeId::FALSE);
-        }
-        if f.is_true() {
-            return Ok(g);
-        }
-        if g.is_true() {
-            return Ok(f);
-        }
-        let (a, b) = if f.0 <= g.0 { (f, g) } else { (g, f) };
-        let key = (Op::And, a.0, b.0, 0);
-        if let Some(r) = self.cache.get(key) {
-            return Ok(r);
-        }
-        gov.checkpoint(self.live_node_count())?;
-        let r = self.try_binary_step(Op::And, a, b, gov)?;
-        self.cache.insert(key, r);
-        Ok(r)
+        self.apply(SharedOp::And(f, g), gov)
     }
 
     /// Budgeted [`Manager::or`]; concurrent at `shared_workers >= 2`
@@ -130,41 +154,7 @@ impl Manager {
         g: NodeId,
         gov: &ResourceGovernor,
     ) -> Result<NodeId, ResourceExhausted> {
-        if self.shared_enabled() {
-            if let Some(r) = shared::dispatch(self, SharedOp::Or(f, g), gov)? {
-                return Ok(r);
-            }
-        }
-        self.try_or_seq(f, g, gov)
-    }
-
-    pub(crate) fn try_or_seq(
-        &mut self,
-        f: NodeId,
-        g: NodeId,
-        gov: &ResourceGovernor,
-    ) -> Result<NodeId, ResourceExhausted> {
-        if f == g {
-            return Ok(f);
-        }
-        if f.is_true() || g.is_true() {
-            return Ok(NodeId::TRUE);
-        }
-        if f.is_false() {
-            return Ok(g);
-        }
-        if g.is_false() {
-            return Ok(f);
-        }
-        let (a, b) = if f.0 <= g.0 { (f, g) } else { (g, f) };
-        let key = (Op::Or, a.0, b.0, 0);
-        if let Some(r) = self.cache.get(key) {
-            return Ok(r);
-        }
-        gov.checkpoint(self.live_node_count())?;
-        let r = self.try_binary_step(Op::Or, a, b, gov)?;
-        self.cache.insert(key, r);
-        Ok(r)
+        self.apply(SharedOp::Or(f, g), gov)
     }
 
     /// Budgeted [`Manager::xor`]; concurrent at `shared_workers >= 2`
@@ -175,65 +165,7 @@ impl Manager {
         g: NodeId,
         gov: &ResourceGovernor,
     ) -> Result<NodeId, ResourceExhausted> {
-        if self.shared_enabled() {
-            if let Some(r) = shared::dispatch(self, SharedOp::Xor(f, g), gov)? {
-                return Ok(r);
-            }
-        }
-        self.try_xor_seq(f, g, gov)
-    }
-
-    pub(crate) fn try_xor_seq(
-        &mut self,
-        f: NodeId,
-        g: NodeId,
-        gov: &ResourceGovernor,
-    ) -> Result<NodeId, ResourceExhausted> {
-        if f == g {
-            return Ok(NodeId::FALSE);
-        }
-        if f.is_false() {
-            return Ok(g);
-        }
-        if g.is_false() {
-            return Ok(f);
-        }
-        if f.is_true() {
-            return self.try_not_seq(g, gov);
-        }
-        if g.is_true() {
-            return self.try_not_seq(f, gov);
-        }
-        let (a, b) = if f.0 <= g.0 { (f, g) } else { (g, f) };
-        let key = (Op::Xor, a.0, b.0, 0);
-        if let Some(r) = self.cache.get(key) {
-            return Ok(r);
-        }
-        gov.checkpoint(self.live_node_count())?;
-        let r = self.try_binary_step(Op::Xor, a, b, gov)?;
-        self.cache.insert(key, r);
-        Ok(r)
-    }
-
-    fn try_binary_step(
-        &mut self,
-        op: Op,
-        f: NodeId,
-        g: NodeId,
-        gov: &ResourceGovernor,
-    ) -> Result<NodeId, ResourceExhausted> {
-        let (lf, lg) = (self.level(f), self.level(g));
-        let top = lf.min(lg);
-        let (f0, f1) = if lf == top { self.branches(f) } else { (f, f) };
-        let (g0, g1) = if lg == top { self.branches(g) } else { (g, g) };
-        let (lo, hi) = match op {
-            Op::And => (self.try_and_seq(f0, g0, gov)?, self.try_and_seq(f1, g1, gov)?),
-            Op::Or => (self.try_or_seq(f0, g0, gov)?, self.try_or_seq(f1, g1, gov)?),
-            Op::Xor => (self.try_xor_seq(f0, g0, gov)?, self.try_xor_seq(f1, g1, gov)?),
-            _ => unreachable!("try_binary_step only handles AND/OR/XOR"),
-        };
-        let var = self.var_at_level(top);
-        Ok(self.mk(var, lo, hi))
+        self.apply(SharedOp::Xor(f, g), gov)
     }
 
     /// Budgeted [`Manager::ite`]; concurrent at `shared_workers >= 2`
@@ -245,51 +177,7 @@ impl Manager {
         h: NodeId,
         gov: &ResourceGovernor,
     ) -> Result<NodeId, ResourceExhausted> {
-        if self.shared_enabled() {
-            if let Some(r) = shared::dispatch(self, SharedOp::Ite(f, g, h), gov)? {
-                return Ok(r);
-            }
-        }
-        self.try_ite_seq(f, g, h, gov)
-    }
-
-    pub(crate) fn try_ite_seq(
-        &mut self,
-        f: NodeId,
-        g: NodeId,
-        h: NodeId,
-        gov: &ResourceGovernor,
-    ) -> Result<NodeId, ResourceExhausted> {
-        if f.is_true() {
-            return Ok(g);
-        }
-        if f.is_false() {
-            return Ok(h);
-        }
-        if g == h {
-            return Ok(g);
-        }
-        if g.is_true() && h.is_false() {
-            return Ok(f);
-        }
-        if g.is_false() && h.is_true() {
-            return self.try_not_seq(f, gov);
-        }
-        let key = (Op::Ite, f.0, g.0, h.0);
-        if let Some(r) = self.cache.get(key) {
-            return Ok(r);
-        }
-        gov.checkpoint(self.live_node_count())?;
-        let top = self.level(f).min(self.level(g)).min(self.level(h));
-        let (f0, f1) = if self.level(f) == top { self.branches(f) } else { (f, f) };
-        let (g0, g1) = if self.level(g) == top { self.branches(g) } else { (g, g) };
-        let (h0, h1) = if self.level(h) == top { self.branches(h) } else { (h, h) };
-        let lo = self.try_ite_seq(f0, g0, h0, gov)?;
-        let hi = self.try_ite_seq(f1, g1, h1, gov)?;
-        let var = self.var_at_level(top);
-        let r = self.mk(var, lo, hi);
-        self.cache.insert(key, r);
-        Ok(r)
+        self.apply(SharedOp::Ite(f, g, h), gov)
     }
 
     /// Budgeted [`Manager::xnor`].
@@ -341,7 +229,7 @@ impl Manager {
         fs: I,
         gov: &ResourceGovernor,
     ) -> Result<NodeId, ResourceExhausted> {
-        self.try_reduce_many(fs.into_iter().collect(), NodeId::TRUE, gov, Self::try_and)
+        self.reduce_many(fs.into_iter().collect(), SharedOp::And, NodeId::TRUE, gov)
     }
 
     /// Budgeted [`Manager::or_many`].
@@ -350,7 +238,7 @@ impl Manager {
         fs: I,
         gov: &ResourceGovernor,
     ) -> Result<NodeId, ResourceExhausted> {
-        self.try_reduce_many(fs.into_iter().collect(), NodeId::FALSE, gov, Self::try_or)
+        self.reduce_many(fs.into_iter().collect(), SharedOp::Or, NodeId::FALSE, gov)
     }
 
     /// Budgeted [`Manager::xor_many`].
@@ -359,37 +247,7 @@ impl Manager {
         fs: I,
         gov: &ResourceGovernor,
     ) -> Result<NodeId, ResourceExhausted> {
-        self.try_reduce_many(fs.into_iter().collect(), NodeId::FALSE, gov, Self::try_xor)
-    }
-
-    /// Balanced reduction, mirroring the unbudgeted `reduce_many`.
-    fn try_reduce_many(
-        &mut self,
-        mut ops: Vec<NodeId>,
-        empty: NodeId,
-        gov: &ResourceGovernor,
-        mut op: impl FnMut(
-            &mut Self,
-            NodeId,
-            NodeId,
-            &ResourceGovernor,
-        ) -> Result<NodeId, ResourceExhausted>,
-    ) -> Result<NodeId, ResourceExhausted> {
-        if ops.is_empty() {
-            return Ok(empty);
-        }
-        while ops.len() > 1 {
-            let mut next = Vec::with_capacity(ops.len().div_ceil(2));
-            for pair in ops.chunks(2) {
-                next.push(if pair.len() == 2 {
-                    op(self, pair[0], pair[1], gov)?
-                } else {
-                    pair[0]
-                });
-            }
-            ops = next;
-        }
-        Ok(ops[0])
+        self.reduce_many(fs.into_iter().collect(), SharedOp::Xor, NodeId::FALSE, gov)
     }
 
     /// Budgeted [`Manager::exists`].
@@ -422,12 +280,7 @@ impl Manager {
         cube: NodeId,
         gov: &ResourceGovernor,
     ) -> Result<NodeId, ResourceExhausted> {
-        if self.shared_enabled() {
-            if let Some(r) = shared::dispatch(self, SharedOp::Exists(f, cube), gov)? {
-                return Ok(r);
-            }
-        }
-        self.try_quant_rec(f, cube, Op::Exists, gov)
+        self.apply(SharedOp::Exists(f, cube), gov)
     }
 
     /// Budgeted [`Manager::forall_cube`]; concurrent at
@@ -438,56 +291,7 @@ impl Manager {
         cube: NodeId,
         gov: &ResourceGovernor,
     ) -> Result<NodeId, ResourceExhausted> {
-        if self.shared_enabled() {
-            if let Some(r) = shared::dispatch(self, SharedOp::Forall(f, cube), gov)? {
-                return Ok(r);
-            }
-        }
-        self.try_quant_rec(f, cube, Op::Forall, gov)
-    }
-
-    fn try_quant_rec(
-        &mut self,
-        f: NodeId,
-        cube: NodeId,
-        op: Op,
-        gov: &ResourceGovernor,
-    ) -> Result<NodeId, ResourceExhausted> {
-        if f.is_terminal() || cube.is_true() {
-            return Ok(f);
-        }
-        debug_assert!(!cube.is_false(), "quantification cube must be a positive cube");
-        let mut cube = cube;
-        let f_level = self.level(f);
-        while !cube.is_true() && self.level(cube) < f_level {
-            cube = self.branches(cube).1;
-        }
-        if cube.is_true() {
-            return Ok(f);
-        }
-        let key = (op, f.0, cube.0, 0);
-        if let Some(r) = self.cache.get(key) {
-            return Ok(r);
-        }
-        gov.checkpoint(self.live_node_count())?;
-        let (f0, f1) = self.branches(f);
-        let fvar = self.node(f).var;
-        let r = if self.level(cube) == f_level {
-            let rest = self.branches(cube).1;
-            let lo = self.try_quant_rec(f0, rest, op, gov)?;
-            let hi = self.try_quant_rec(f1, rest, op, gov)?;
-            match op {
-                Op::Exists => self.try_or_seq(lo, hi, gov)?,
-                Op::Forall => self.try_and_seq(lo, hi, gov)?,
-                _ => unreachable!(),
-            }
-        } else {
-            let lo = self.try_quant_rec(f0, cube, op, gov)?;
-            let hi = self.try_quant_rec(f1, cube, op, gov)?;
-            self.mk(fvar, lo, hi)
-        };
-        self.cache.insert(key, r);
-        Ok(r)
+        self.apply(SharedOp::Forall(f, cube), gov)
     }
 
     /// Budgeted [`Manager::and_exists`] — the relational product at the
@@ -501,66 +305,7 @@ impl Manager {
         cube: NodeId,
         gov: &ResourceGovernor,
     ) -> Result<NodeId, ResourceExhausted> {
-        if self.shared_enabled() {
-            if let Some(r) = shared::dispatch(self, SharedOp::AndExists(f, g, cube), gov)? {
-                return Ok(r);
-            }
-        }
-        self.try_and_exists_seq(f, g, cube, gov)
-    }
-
-    pub(crate) fn try_and_exists_seq(
-        &mut self,
-        f: NodeId,
-        g: NodeId,
-        cube: NodeId,
-        gov: &ResourceGovernor,
-    ) -> Result<NodeId, ResourceExhausted> {
-        if f.is_false() || g.is_false() {
-            return Ok(NodeId::FALSE);
-        }
-        if f.is_true() && g.is_true() {
-            return Ok(NodeId::TRUE);
-        }
-        if cube.is_true() {
-            return self.try_and_seq(f, g, gov);
-        }
-        if f.is_true() {
-            return self.try_quant_rec(g, cube, Op::Exists, gov);
-        }
-        if g.is_true() {
-            return self.try_quant_rec(f, cube, Op::Exists, gov);
-        }
-        let (a, b) = if f.0 <= g.0 { (f, g) } else { (g, f) };
-        let key = (Op::Exists, a.0, b.0, cube.0);
-        if let Some(r) = self.cache.get(key) {
-            return Ok(r);
-        }
-        gov.checkpoint(self.live_node_count())?;
-        let top = self.level(a).min(self.level(b));
-        let mut cube_here = cube;
-        while !cube_here.is_true() && self.level(cube_here) < top {
-            cube_here = self.branches(cube_here).1;
-        }
-        let (a0, a1) = if self.level(a) == top { self.branches(a) } else { (a, a) };
-        let (b0, b1) = if self.level(b) == top { self.branches(b) } else { (b, b) };
-        let r = if !cube_here.is_true() && self.level(cube_here) == top {
-            let rest = self.branches(cube_here).1;
-            let lo = self.try_and_exists_seq(a0, b0, rest, gov)?;
-            if lo.is_true() {
-                NodeId::TRUE
-            } else {
-                let hi = self.try_and_exists_seq(a1, b1, rest, gov)?;
-                self.try_or_seq(lo, hi, gov)?
-            }
-        } else {
-            let lo = self.try_and_exists_seq(a0, b0, cube_here, gov)?;
-            let hi = self.try_and_exists_seq(a1, b1, cube_here, gov)?;
-            let var = self.var_at_level(top);
-            self.mk(var, lo, hi)
-        };
-        self.cache.insert(key, r);
-        Ok(r)
+        self.apply(SharedOp::AndExists(f, g, cube), gov)
     }
 
     /// Budgeted [`Manager::compose`].
@@ -571,25 +316,7 @@ impl Manager {
         g: NodeId,
         gov: &ResourceGovernor,
     ) -> Result<NodeId, ResourceExhausted> {
-        if f.is_terminal() || self.level(f) > self.level_of(v) as u32 {
-            return Ok(f);
-        }
-        let key = (Op::Compose, f.0, v.0, g.0);
-        if let Some(r) = self.cache.get(key) {
-            return Ok(r);
-        }
-        gov.checkpoint(self.live_node_count())?;
-        let node = self.node(f);
-        let r = if node.var == v.0 {
-            self.try_ite(g, node.hi, node.lo, gov)?
-        } else {
-            let lo = self.try_compose(node.lo, v, g, gov)?;
-            let hi = self.try_compose(node.hi, v, g, gov)?;
-            let top = self.var(VarId(node.var));
-            self.try_ite(top, hi, lo, gov)?
-        };
-        self.cache.insert(key, r);
-        Ok(r)
+        self.compose_rec(f, v, g, gov)
     }
 
     /// Budgeted [`Manager::cofactor`].
@@ -611,24 +338,7 @@ impl Manager {
         subst: SubstitutionId,
         gov: &ResourceGovernor,
     ) -> Result<NodeId, ResourceExhausted> {
-        if f.is_terminal() {
-            return Ok(f);
-        }
-        let key = (Op::VCompose, f.0, subst.0, 0);
-        if let Some(r) = self.cache.get(key) {
-            return Ok(r);
-        }
-        gov.checkpoint(self.live_node_count())?;
-        let node = self.node(f);
-        let lo = self.try_vector_compose(node.lo, subst, gov)?;
-        let hi = self.try_vector_compose(node.hi, subst, gov)?;
-        let replacement = match self.substitutions[subst.0 as usize].get(&node.var) {
-            Some(&g) => g,
-            None => self.var(VarId(node.var)),
-        };
-        let r = self.try_ite(replacement, hi, lo, gov)?;
-        self.cache.insert(key, r);
-        Ok(r)
+        self.vector_compose_rec(f, subst, gov)
     }
 
     /// Budgeted [`Manager::restrict`].
@@ -638,49 +348,7 @@ impl Manager {
         care: NodeId,
         gov: &ResourceGovernor,
     ) -> Result<NodeId, ResourceExhausted> {
-        if care.is_false() {
-            return Ok(f);
-        }
-        self.try_restrict_rec(f, care, gov)
-    }
-
-    fn try_restrict_rec(
-        &mut self,
-        f: NodeId,
-        care: NodeId,
-        gov: &ResourceGovernor,
-    ) -> Result<NodeId, ResourceExhausted> {
-        if f.is_terminal() || care.is_true() {
-            return Ok(f);
-        }
-        debug_assert!(!care.is_false(), "inner care set cannot be empty");
-        let key = (Op::Restrict, f.0, care.0, 0);
-        if let Some(r) = self.cache.get(key) {
-            return Ok(r);
-        }
-        gov.checkpoint(self.live_node_count())?;
-        let lf = self.level(f);
-        let lc = self.level(care);
-        let r = if lc < lf {
-            let (c0, c1) = self.branches(care);
-            let merged = self.try_or(c0, c1, gov)?;
-            self.try_restrict_rec(f, merged, gov)?
-        } else {
-            let (f0, f1) = self.branches(f);
-            let fvar = self.node(f).var;
-            let (c0, c1) = if lc == lf { self.branches(care) } else { (care, care) };
-            if c0.is_false() {
-                self.try_restrict_rec(f1, c1, gov)?
-            } else if c1.is_false() {
-                self.try_restrict_rec(f0, c0, gov)?
-            } else {
-                let lo = self.try_restrict_rec(f0, c0, gov)?;
-                let hi = self.try_restrict_rec(f1, c1, gov)?;
-                self.mk(fvar, lo, hi)
-            }
-        };
-        self.cache.insert(key, r);
-        Ok(r)
+        self.restrict_with(f, care, gov)
     }
 
     /// Budgeted [`Manager::constrain`].
@@ -690,47 +358,7 @@ impl Manager {
         care: NodeId,
         gov: &ResourceGovernor,
     ) -> Result<NodeId, ResourceExhausted> {
-        if care.is_false() {
-            return Ok(f);
-        }
-        self.try_constrain_rec(f, care, gov)
-    }
-
-    fn try_constrain_rec(
-        &mut self,
-        f: NodeId,
-        care: NodeId,
-        gov: &ResourceGovernor,
-    ) -> Result<NodeId, ResourceExhausted> {
-        if f.is_terminal() || care.is_true() {
-            return Ok(f);
-        }
-        debug_assert!(!care.is_false(), "inner care set cannot be empty");
-        if f == care {
-            return Ok(NodeId::TRUE);
-        }
-        let key = (Op::Constrain, f.0, care.0, 0);
-        if let Some(r) = self.cache.get(key) {
-            return Ok(r);
-        }
-        gov.checkpoint(self.live_node_count())?;
-        let lf = self.level(f);
-        let lc = self.level(care);
-        let top = lf.min(lc);
-        let (c0, c1) = if lc == top { self.branches(care) } else { (care, care) };
-        let (f0, f1) = if lf == top { self.branches(f) } else { (f, f) };
-        let r = if c0.is_false() {
-            self.try_constrain_rec(f1, c1, gov)?
-        } else if c1.is_false() {
-            self.try_constrain_rec(f0, c0, gov)?
-        } else {
-            let lo = self.try_constrain_rec(f0, c0, gov)?;
-            let hi = self.try_constrain_rec(f1, c1, gov)?;
-            let var = self.var_at_level(top);
-            self.mk(var, lo, hi)
-        };
-        self.cache.insert(key, r);
-        Ok(r)
+        self.constrain_with(f, care, gov)
     }
 
     /// Budgeted [`Manager::rename`].
@@ -740,8 +368,7 @@ impl Manager {
         pairs: &[(VarId, VarId)],
         gov: &ResourceGovernor,
     ) -> Result<NodeId, ResourceExhausted> {
-        let subst: Vec<(VarId, NodeId)> =
-            pairs.iter().map(|&(v, w)| (v, self.var(w))).collect();
+        let subst: Vec<(VarId, NodeId)> = pairs.iter().map(|&(v, w)| (v, self.var(w))).collect();
         let id = self.register_substitution(&subst);
         self.try_vector_compose(f, id, gov)
     }

@@ -1,8 +1,10 @@
 //! Variable substitution: single-variable composition and simultaneous
 //! vector composition.
 
+use crate::budgeted::{unbounded, Policy, Unbounded};
 use crate::hash::FxHashMap;
 use crate::manager::Op;
+use crate::shared::SharedOp;
 use crate::{Manager, NodeId, VarId};
 
 /// Handle to a substitution table registered with
@@ -14,25 +16,36 @@ impl Manager {
     /// Substitutes function `g` for variable `v` in `f`:
     /// `f[v ← g] = g·f|v=1 + ¬g·f|v=0`.
     pub fn compose(&mut self, f: NodeId, v: VarId, g: NodeId) -> NodeId {
+        unbounded(self.compose_rec(f, v, g, &Unbounded))
+    }
+
+    pub(crate) fn compose_rec<P: Policy>(
+        &mut self,
+        f: NodeId,
+        v: VarId,
+        g: NodeId,
+        p: &P,
+    ) -> Result<NodeId, P::Error> {
         if f.is_terminal() || self.level(f) > self.level_of(v) as u32 {
             // Ordered: v cannot occur below a deeper top variable.
-            return f;
+            return Ok(f);
         }
         let key = (Op::Compose, f.0, v.0, g.0);
         if let Some(r) = self.cache.get(key) {
-            return r;
+            return Ok(r);
         }
+        p.checkpoint(self.live_node_count())?;
         let node = self.node(f);
         let r = if node.var == v.0 {
-            self.ite(g, node.hi, node.lo)
+            self.apply(SharedOp::Ite(g, node.hi, node.lo), p)?
         } else {
-            let lo = self.compose(node.lo, v, g);
-            let hi = self.compose(node.hi, v, g);
+            let lo = self.compose_rec(node.lo, v, g, p)?;
+            let hi = self.compose_rec(node.hi, v, g, p)?;
             let top = self.var(VarId(node.var));
-            self.ite(top, hi, lo)
+            self.apply(SharedOp::Ite(top, hi, lo), p)?
         };
         self.cache.insert(key, r);
-        r
+        Ok(r)
     }
 
     /// Registers a simultaneous substitution `{vᵢ ← gᵢ}` for use with
@@ -56,23 +69,33 @@ impl Manager {
     /// which is what the parameterized forms of the paper require
     /// (e.g. `xᵢ ← ITE(cᵢ, xᵢ, yᵢ)` mentions `xᵢ` on the right-hand side).
     pub fn vector_compose(&mut self, f: NodeId, subst: SubstitutionId) -> NodeId {
+        unbounded(self.vector_compose_rec(f, subst, &Unbounded))
+    }
+
+    pub(crate) fn vector_compose_rec<P: Policy>(
+        &mut self,
+        f: NodeId,
+        subst: SubstitutionId,
+        p: &P,
+    ) -> Result<NodeId, P::Error> {
         if f.is_terminal() {
-            return f;
+            return Ok(f);
         }
         let key = (Op::VCompose, f.0, subst.0, 0);
         if let Some(r) = self.cache.get(key) {
-            return r;
+            return Ok(r);
         }
+        p.checkpoint(self.live_node_count())?;
         let node = self.node(f);
-        let lo = self.vector_compose(node.lo, subst);
-        let hi = self.vector_compose(node.hi, subst);
+        let lo = self.vector_compose_rec(node.lo, subst, p)?;
+        let hi = self.vector_compose_rec(node.hi, subst, p)?;
         let replacement = match self.substitutions[subst.0 as usize].get(&node.var) {
             Some(&g) => g,
             None => self.var(VarId(node.var)),
         };
-        let r = self.ite(replacement, hi, lo);
+        let r = self.apply(SharedOp::Ite(replacement, hi, lo), p)?;
         self.cache.insert(key, r);
-        r
+        Ok(r)
     }
 
     /// Renames variables according to `pairs` (a special case of vector

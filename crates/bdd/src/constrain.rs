@@ -19,6 +19,7 @@
 //! `constrain` when the algebraic identities matter (image
 //! computation, frontier-simplified fixpoints).
 
+use crate::budgeted::{unbounded, Policy, Unbounded};
 use crate::manager::Op;
 use crate::{Manager, NodeId};
 
@@ -31,24 +32,40 @@ impl Manager {
     /// `constrain(f, 0)` is defined as `f`, mirroring
     /// [`Manager::restrict`].
     pub fn constrain(&mut self, f: NodeId, care: NodeId) -> NodeId {
-        if care.is_false() {
-            return f;
-        }
-        self.constrain_rec(f, care)
+        unbounded(self.constrain_with(f, care, &Unbounded))
     }
 
-    fn constrain_rec(&mut self, f: NodeId, care: NodeId) -> NodeId {
+    /// Entry of the recursion: an empty care set leaves `f` unchanged.
+    pub(crate) fn constrain_with<P: Policy>(
+        &mut self,
+        f: NodeId,
+        care: NodeId,
+        p: &P,
+    ) -> Result<NodeId, P::Error> {
+        if care.is_false() {
+            return Ok(f);
+        }
+        self.constrain_rec(f, care, p)
+    }
+
+    fn constrain_rec<P: Policy>(
+        &mut self,
+        f: NodeId,
+        care: NodeId,
+        p: &P,
+    ) -> Result<NodeId, P::Error> {
         if f.is_terminal() || care.is_true() {
-            return f;
+            return Ok(f);
         }
         debug_assert!(!care.is_false(), "inner care set cannot be empty");
         if f == care {
-            return NodeId::TRUE;
+            return Ok(NodeId::TRUE);
         }
         let key = (Op::Constrain, f.0, care.0, 0);
         if let Some(r) = self.cache.get(key) {
-            return r;
+            return Ok(r);
         }
+        p.checkpoint(self.live_node_count())?;
         let lf = self.level(f);
         let lc = self.level(care);
         let top = lf.min(lc);
@@ -57,21 +74,21 @@ impl Manager {
         let r = if c0.is_false() {
             // Every care point sets the top variable: points with it
             // clear are mapped across, so the variable test disappears.
-            self.constrain_rec(f1, c1)
+            self.constrain_rec(f1, c1, p)?
         } else if c1.is_false() {
-            self.constrain_rec(f0, c0)
+            self.constrain_rec(f0, c0, p)?
         } else {
             // Both care branches are non-empty: branch on the top
             // variable even when f ignores it (this is where the result
             // may gain support from `care` — the cost of keeping the
             // conjunction/quantification identities exact).
-            let lo = self.constrain_rec(f0, c0);
-            let hi = self.constrain_rec(f1, c1);
+            let lo = self.constrain_rec(f0, c0, p)?;
+            let hi = self.constrain_rec(f1, c1, p)?;
             let var = self.var_at_level(top);
             self.mk(var, lo, hi)
         };
         self.cache.insert(key, r);
-        r
+        Ok(r)
     }
 }
 

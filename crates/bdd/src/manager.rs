@@ -16,11 +16,20 @@
 //!   ([`Manager::maybe_gc`]);
 //! * variable reordering is true in-place Rudell sifting via
 //!   adjacent-level swaps with a growth-abort bound
-//!   ([`Manager::sift_in_place`]).
+//!   ([`Manager::sift_in_place`]);
+//! * each recursive operator (`not`, `and`/`or`/`xor` through one
+//!   `binary_step`, `ite`, the `*_many` reduction here; quantification,
+//!   composition, `restrict` and `constrain` in their modules) is one
+//!   recursion generic over a checkpoint policy. The public methods run
+//!   it under the unbounded policy, the `try_*` methods of
+//!   `budgeted.rs` under a [`ResourceGovernor`], so both share every
+//!   computed-table key and insert site.
 
+use crate::budgeted::{unbounded, Policy, Unbounded};
 use crate::governor::{FaultSite, ResourceExhausted, ResourceGovernor};
 use crate::hash::FxHashMap;
 use crate::node::{Node, TERMINAL_LEVEL};
+use crate::shared::SharedOp;
 use crate::{NodeId, VarId};
 
 /// Operation tags for the computed-table cache.
@@ -847,111 +856,139 @@ impl Manager {
 
     /// Negation.
     pub fn not(&mut self, f: NodeId) -> NodeId {
+        unbounded(self.not_rec(f, &Unbounded))
+    }
+
+    pub(crate) fn not_rec<P: Policy>(&mut self, f: NodeId, p: &P) -> Result<NodeId, P::Error> {
         match f {
-            NodeId::FALSE => return NodeId::TRUE,
-            NodeId::TRUE => return NodeId::FALSE,
+            NodeId::FALSE => return Ok(NodeId::TRUE),
+            NodeId::TRUE => return Ok(NodeId::FALSE),
             _ => {}
         }
         let key = (Op::Not, f.0, 0, 0);
         if let Some(r) = self.cache.get(key) {
-            return r;
+            return Ok(r);
         }
+        p.checkpoint(self.live_node_count())?;
         let n = self.node(f);
-        let lo = self.not(n.lo);
-        let hi = self.not(n.hi);
+        let lo = self.not_rec(n.lo, p)?;
+        let hi = self.not_rec(n.hi, p)?;
         let r = self.mk(n.var, lo, hi);
         self.cache.insert(key, r);
-        r
+        Ok(r)
     }
 
     /// Conjunction.
     pub fn and(&mut self, f: NodeId, g: NodeId) -> NodeId {
+        unbounded(self.and_rec(f, g, &Unbounded))
+    }
+
+    pub(crate) fn and_rec<P: Policy>(
+        &mut self,
+        f: NodeId,
+        g: NodeId,
+        p: &P,
+    ) -> Result<NodeId, P::Error> {
         if f == g {
-            return f;
+            return Ok(f);
         }
         if f.is_false() || g.is_false() {
-            return NodeId::FALSE;
+            return Ok(NodeId::FALSE);
         }
         if f.is_true() {
-            return g;
+            return Ok(g);
         }
         if g.is_true() {
-            return f;
+            return Ok(f);
         }
-        let (a, b) = if f.0 <= g.0 { (f, g) } else { (g, f) };
-        let key = (Op::And, a.0, b.0, 0);
-        if let Some(r) = self.cache.get(key) {
-            return r;
-        }
-        let r = self.binary_step(Op::And, a, b);
-        self.cache.insert(key, r);
-        r
+        self.binary_step(Op::And, f, g, p)
     }
 
     /// Disjunction.
     pub fn or(&mut self, f: NodeId, g: NodeId) -> NodeId {
+        unbounded(self.or_rec(f, g, &Unbounded))
+    }
+
+    pub(crate) fn or_rec<P: Policy>(
+        &mut self,
+        f: NodeId,
+        g: NodeId,
+        p: &P,
+    ) -> Result<NodeId, P::Error> {
         if f == g {
-            return f;
+            return Ok(f);
         }
         if f.is_true() || g.is_true() {
-            return NodeId::TRUE;
+            return Ok(NodeId::TRUE);
         }
         if f.is_false() {
-            return g;
+            return Ok(g);
         }
         if g.is_false() {
-            return f;
+            return Ok(f);
         }
-        let (a, b) = if f.0 <= g.0 { (f, g) } else { (g, f) };
-        let key = (Op::Or, a.0, b.0, 0);
-        if let Some(r) = self.cache.get(key) {
-            return r;
-        }
-        let r = self.binary_step(Op::Or, a, b);
-        self.cache.insert(key, r);
-        r
+        self.binary_step(Op::Or, f, g, p)
     }
 
     /// Exclusive or.
     pub fn xor(&mut self, f: NodeId, g: NodeId) -> NodeId {
-        if f == g {
-            return NodeId::FALSE;
-        }
-        if f.is_false() {
-            return g;
-        }
-        if g.is_false() {
-            return f;
-        }
-        if f.is_true() {
-            return self.not(g);
-        }
-        if g.is_true() {
-            return self.not(f);
-        }
-        let (a, b) = if f.0 <= g.0 { (f, g) } else { (g, f) };
-        let key = (Op::Xor, a.0, b.0, 0);
-        if let Some(r) = self.cache.get(key) {
-            return r;
-        }
-        let r = self.binary_step(Op::Xor, a, b);
-        self.cache.insert(key, r);
-        r
+        unbounded(self.xor_rec(f, g, &Unbounded))
     }
 
-    fn binary_step(&mut self, op: Op, f: NodeId, g: NodeId) -> NodeId {
+    pub(crate) fn xor_rec<P: Policy>(
+        &mut self,
+        f: NodeId,
+        g: NodeId,
+        p: &P,
+    ) -> Result<NodeId, P::Error> {
+        if f == g {
+            return Ok(NodeId::FALSE);
+        }
+        if f.is_false() {
+            return Ok(g);
+        }
+        if g.is_false() {
+            return Ok(f);
+        }
+        if f.is_true() {
+            return self.not_rec(g, p);
+        }
+        if g.is_true() {
+            return self.not_rec(f, p);
+        }
+        self.binary_step(Op::Xor, f, g, p)
+    }
+
+    /// The cached Shannon step shared by AND/OR/XOR once their terminal
+    /// cases are exhausted; operands are ordered so the key commutes.
+    #[inline]
+    fn binary_step<P: Policy>(
+        &mut self,
+        op: Op,
+        f: NodeId,
+        g: NodeId,
+        p: &P,
+    ) -> Result<NodeId, P::Error> {
+        let (f, g) = if f.0 <= g.0 { (f, g) } else { (g, f) };
+        let key = (op, f.0, g.0, 0);
+        if let Some(r) = self.cache.get(key) {
+            return Ok(r);
+        }
+        p.checkpoint(self.live_node_count())?;
         let (lf, lg) = (self.level(f), self.level(g));
         let top = lf.min(lg);
         let (f0, f1) = if lf == top { self.branches(f) } else { (f, f) };
         let (g0, g1) = if lg == top { self.branches(g) } else { (g, g) };
         let (lo, hi) = match op {
-            Op::And => (self.and(f0, g0), self.and(f1, g1)),
-            Op::Or => (self.or(f0, g0), self.or(f1, g1)),
-            Op::Xor => (self.xor(f0, g0), self.xor(f1, g1)),
+            Op::And => (self.and_rec(f0, g0, p)?, self.and_rec(f1, g1, p)?),
+            Op::Or => (self.or_rec(f0, g0, p)?, self.or_rec(f1, g1, p)?),
+            Op::Xor => (self.xor_rec(f0, g0, p)?, self.xor_rec(f1, g1, p)?),
             _ => unreachable!("binary_step only handles AND/OR/XOR"),
         };
         let var = self.var_at_level(top);
-        self.mk(var, lo, hi)
+        let r = self.mk(var, lo, hi);
+        self.cache.insert(key, r);
+        Ok(r)
     }
 
     /// Exclusive nor (equivalence).
@@ -974,36 +1011,47 @@ impl Manager {
 
     /// If-then-else: `f·g + ¬f·h`.
     pub fn ite(&mut self, f: NodeId, g: NodeId, h: NodeId) -> NodeId {
+        unbounded(self.ite_rec(f, g, h, &Unbounded))
+    }
+
+    pub(crate) fn ite_rec<P: Policy>(
+        &mut self,
+        f: NodeId,
+        g: NodeId,
+        h: NodeId,
+        p: &P,
+    ) -> Result<NodeId, P::Error> {
         // Terminal cases.
         if f.is_true() {
-            return g;
+            return Ok(g);
         }
         if f.is_false() {
-            return h;
+            return Ok(h);
         }
         if g == h {
-            return g;
+            return Ok(g);
         }
         if g.is_true() && h.is_false() {
-            return f;
+            return Ok(f);
         }
         if g.is_false() && h.is_true() {
-            return self.not(f);
+            return self.not_rec(f, p);
         }
         let key = (Op::Ite, f.0, g.0, h.0);
         if let Some(r) = self.cache.get(key) {
-            return r;
+            return Ok(r);
         }
+        p.checkpoint(self.live_node_count())?;
         let top = self.level(f).min(self.level(g)).min(self.level(h));
         let (f0, f1) = if self.level(f) == top { self.branches(f) } else { (f, f) };
         let (g0, g1) = if self.level(g) == top { self.branches(g) } else { (g, g) };
         let (h0, h1) = if self.level(h) == top { self.branches(h) } else { (h, h) };
-        let lo = self.ite(f0, g0, h0);
-        let hi = self.ite(f1, g1, h1);
+        let lo = self.ite_rec(f0, g0, h0, p)?;
+        let hi = self.ite_rec(f1, g1, h1, p)?;
         let var = self.var_at_level(top);
         let r = self.mk(var, lo, hi);
         self.cache.insert(key, r);
-        r
+        Ok(r)
     }
 
     /// `true` iff `f ≤ g` in the "less-than-or-equal" partial order of the
@@ -1014,44 +1062,58 @@ impl Manager {
 
     /// Balanced conjunction of many operands.
     pub fn and_many<I: IntoIterator<Item = NodeId>>(&mut self, fs: I) -> NodeId {
-        self.reduce_many(fs.into_iter().collect(), Op::And)
+        unbounded(self.reduce_many(
+            fs.into_iter().collect(),
+            SharedOp::And,
+            NodeId::TRUE,
+            &Unbounded,
+        ))
     }
 
     /// Balanced disjunction of many operands.
     pub fn or_many<I: IntoIterator<Item = NodeId>>(&mut self, fs: I) -> NodeId {
-        self.reduce_many(fs.into_iter().collect(), Op::Or)
+        unbounded(self.reduce_many(
+            fs.into_iter().collect(),
+            SharedOp::Or,
+            NodeId::FALSE,
+            &Unbounded,
+        ))
     }
 
     /// Balanced exclusive-or of many operands.
     pub fn xor_many<I: IntoIterator<Item = NodeId>>(&mut self, fs: I) -> NodeId {
-        self.reduce_many(fs.into_iter().collect(), Op::Xor)
+        unbounded(self.reduce_many(
+            fs.into_iter().collect(),
+            SharedOp::Xor,
+            NodeId::FALSE,
+            &Unbounded,
+        ))
     }
 
-    fn reduce_many(&mut self, mut fs: Vec<NodeId>, op: Op) -> NodeId {
+    /// Balanced pairwise reduction of `fs` by the binary operation `op`
+    /// builds; `empty` is the identity returned for no operands.
+    pub(crate) fn reduce_many<P: Policy>(
+        &mut self,
+        mut fs: Vec<NodeId>,
+        op: fn(NodeId, NodeId) -> SharedOp,
+        empty: NodeId,
+        p: &P,
+    ) -> Result<NodeId, P::Error> {
         if fs.is_empty() {
-            return match op {
-                Op::And => NodeId::TRUE,
-                _ => NodeId::FALSE,
-            };
+            return Ok(empty);
         }
         while fs.len() > 1 {
             let mut next = Vec::with_capacity(fs.len().div_ceil(2));
             for pair in fs.chunks(2) {
-                let r = if pair.len() == 2 {
-                    match op {
-                        Op::And => self.and(pair[0], pair[1]),
-                        Op::Or => self.or(pair[0], pair[1]),
-                        Op::Xor => self.xor(pair[0], pair[1]),
-                        _ => unreachable!(),
-                    }
+                next.push(if pair.len() == 2 {
+                    self.apply(op(pair[0], pair[1]), p)?
                 } else {
                     pair[0]
-                };
-                next.push(r);
+                });
             }
             fs = next;
         }
-        fs[0]
+        Ok(fs[0])
     }
 
     /// Positive cofactor of `f` with respect to variable `v`.

@@ -1,5 +1,6 @@
 //! Existential and universal quantification over variable cubes.
 
+use crate::budgeted::{unbounded, Policy, Unbounded};
 use crate::manager::Op;
 use crate::{Manager, NodeId, VarId};
 
@@ -29,17 +30,25 @@ impl Manager {
     /// `∃cube f` where `cube` is a positive cube built with
     /// [`Manager::cube`].
     pub fn exists_cube(&mut self, f: NodeId, cube: NodeId) -> NodeId {
-        self.quant_rec(f, cube, Op::Exists)
+        unbounded(self.quant_rec(f, cube, Op::Exists, &Unbounded))
     }
 
     /// `∀cube f` where `cube` is a positive cube.
     pub fn forall_cube(&mut self, f: NodeId, cube: NodeId) -> NodeId {
-        self.quant_rec(f, cube, Op::Forall)
+        unbounded(self.quant_rec(f, cube, Op::Forall, &Unbounded))
     }
 
-    fn quant_rec(&mut self, f: NodeId, cube: NodeId, op: Op) -> NodeId {
+    /// Quantifies `cube` out of `f`; `op` is [`Op::Exists`] or
+    /// [`Op::Forall`].
+    pub(crate) fn quant_rec<P: Policy>(
+        &mut self,
+        f: NodeId,
+        cube: NodeId,
+        op: Op,
+        p: &P,
+    ) -> Result<NodeId, P::Error> {
         if f.is_terminal() || cube.is_true() {
-            return f;
+            return Ok(f);
         }
         debug_assert!(!cube.is_false(), "quantification cube must be a positive cube");
         // Skip cube variables above f's top variable: they do not occur in f.
@@ -49,55 +58,67 @@ impl Manager {
             cube = self.branches(cube).1;
         }
         if cube.is_true() {
-            return f;
+            return Ok(f);
         }
         let key = (op, f.0, cube.0, 0);
         if let Some(r) = self.cache.get(key) {
-            return r;
+            return Ok(r);
         }
+        p.checkpoint(self.live_node_count())?;
         let (f0, f1) = self.branches(f);
         let fvar = self.node(f).var;
         let r = if self.level(cube) == f_level {
             let rest = self.branches(cube).1;
-            let lo = self.quant_rec(f0, rest, op);
-            let hi = self.quant_rec(f1, rest, op);
+            let lo = self.quant_rec(f0, rest, op, p)?;
+            let hi = self.quant_rec(f1, rest, op, p)?;
             match op {
-                Op::Exists => self.or(lo, hi),
-                Op::Forall => self.and(lo, hi),
+                Op::Exists => self.or_rec(lo, hi, p)?,
+                Op::Forall => self.and_rec(lo, hi, p)?,
                 _ => unreachable!(),
             }
         } else {
-            let lo = self.quant_rec(f0, cube, op);
-            let hi = self.quant_rec(f1, cube, op);
+            let lo = self.quant_rec(f0, cube, op, p)?;
+            let hi = self.quant_rec(f1, cube, op, p)?;
             self.mk(fvar, lo, hi)
         };
         self.cache.insert(key, r);
-        r
+        Ok(r)
     }
 
     /// Relational product `∃cube (f · g)` computed without materializing
     /// the full conjunction — the workhorse of image computation.
     pub fn and_exists(&mut self, f: NodeId, g: NodeId, cube: NodeId) -> NodeId {
+        unbounded(self.and_exists_rec(f, g, cube, &Unbounded))
+    }
+
+    pub(crate) fn and_exists_rec<P: Policy>(
+        &mut self,
+        f: NodeId,
+        g: NodeId,
+        cube: NodeId,
+        p: &P,
+    ) -> Result<NodeId, P::Error> {
         if f.is_false() || g.is_false() {
-            return NodeId::FALSE;
+            return Ok(NodeId::FALSE);
         }
         if f.is_true() && g.is_true() {
-            return NodeId::TRUE;
+            return Ok(NodeId::TRUE);
         }
         if cube.is_true() {
-            return self.and(f, g);
+            return self.and_rec(f, g, p);
         }
         if f.is_true() {
-            return self.exists_cube(g, cube);
+            return self.quant_rec(g, cube, Op::Exists, p);
         }
         if g.is_true() {
-            return self.exists_cube(f, cube);
+            return self.quant_rec(f, cube, Op::Exists, p);
         }
         let (a, b) = if f.0 <= g.0 { (f, g) } else { (g, f) };
         let key = (Op::Exists, a.0, b.0, cube.0);
         if let Some(r) = self.cache.get(key) {
-            return r;
+            return Ok(r);
         }
+        p.checkpoint(self.live_node_count())?;
         let top = self.level(a).min(self.level(b));
         // Skip cube variables above the top of both operands.
         let mut cube_here = cube;
@@ -108,21 +129,21 @@ impl Manager {
         let (b0, b1) = if self.level(b) == top { self.branches(b) } else { (b, b) };
         let r = if !cube_here.is_true() && self.level(cube_here) == top {
             let rest = self.branches(cube_here).1;
-            let lo = self.and_exists(a0, b0, rest);
+            let lo = self.and_exists_rec(a0, b0, rest, p)?;
             if lo.is_true() {
                 NodeId::TRUE
             } else {
-                let hi = self.and_exists(a1, b1, rest);
-                self.or(lo, hi)
+                let hi = self.and_exists_rec(a1, b1, rest, p)?;
+                self.or_rec(lo, hi, p)?
             }
         } else {
-            let lo = self.and_exists(a0, b0, cube_here);
-            let hi = self.and_exists(a1, b1, cube_here);
+            let lo = self.and_exists_rec(a0, b0, cube_here, p)?;
+            let hi = self.and_exists_rec(a1, b1, cube_here, p)?;
             let var = self.var_at_level(top);
             self.mk(var, lo, hi)
         };
         self.cache.insert(key, r);
-        r
+        Ok(r)
     }
 }
 

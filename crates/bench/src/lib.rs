@@ -474,8 +474,16 @@ pub fn sat_stats_rows(quick: bool) -> Vec<SatBenchRow> {
         let n = support.len();
         let (a_vac, b_vac) = (support[..n - 2].to_vec(), support[n - 2..].to_vec());
         let start = Instant::now();
-        let (dec, stats) =
-            sat_dec::xor_decomposable_with_stats(&m, f, &support, &a_vac, &b_vac);
+        let (dec, stats) = sat_dec::try_xor_decomposable(
+            &m,
+            f,
+            &support,
+            &a_vac,
+            &b_vac,
+            u64::MAX,
+            &ResourceGovernor::unlimited(),
+        )
+        .expect("unlimited");
         rows.push(SatBenchRow {
             name: format!("adder_s{bit}_xor_check"),
             verdict: dec,
@@ -498,8 +506,16 @@ pub fn sat_stats_rows(quick: bool) -> Vec<SatBenchRow> {
         let half = data.len() / 2;
         let (a_vac, b_vac) = (data[..half].to_vec(), data[half..].to_vec());
         let start = Instant::now();
-        let (dec, stats) =
-            sat_dec::or_decomposable_with_stats(&m, f, &support, &a_vac, &b_vac);
+        let (dec, stats) = sat_dec::try_or_decomposable(
+            &m,
+            f,
+            &support,
+            &a_vac,
+            &b_vac,
+            u64::MAX,
+            &ResourceGovernor::unlimited(),
+        )
+        .expect("unlimited");
         rows.push(SatBenchRow {
             name: format!("mux{k}_or_check"),
             verdict: dec,
@@ -1395,7 +1411,7 @@ pub fn write_reach_json(
 }
 
 // ---------------------------------------------------------------------
-// Portfolio rescue-rung benchmark (BENCH_portfolio.json)
+// Rescue-rung circuit family
 // ---------------------------------------------------------------------
 
 /// `blocks` disjoint two-block cones `(a·b) + (c·d)` over fresh inputs —
@@ -1403,9 +1419,8 @@ pub fn write_reach_json(
 /// OR-decomposable at the midpoint of its sorted support, but the
 /// *symbolic* partition search pays for a 3n-variable choices manager,
 /// so a band of per-candidate step budgets exists where `Choices` trips
-/// while a raced midpoint check (SAT, or the BDD-vs-SAT portfolio)
-/// still completes and saves the partition the pure-BDD ladder abandons
-/// to greedy growth.
+/// while the SAT midpoint check still completes and saves the partition
+/// the pure-BDD ladder abandons to greedy growth.
 pub fn two_block_cones(blocks: usize) -> Netlist {
     use symbi_netlist::GateKind;
     let mut n = Netlist::new("two_block");
@@ -1420,175 +1435,6 @@ pub fn two_block_cones(blocks: usize) -> Netlist {
         n.add_output(format!("f{i}"), o);
     }
     n
-}
-
-/// Flow options for the rescue-family sweep: no state analysis (the
-/// cones are combinational), no XOR rung (its extra budget fork halves
-/// what the downstream structural steps see and closes the rescue
-/// window on this family), and the given backend/budget.
-fn portfolio_flow_options(
-    backend: recursive::DecBackend,
-    candidate_steps: u64,
-) -> SynthesisOptions {
-    let mut options = SynthesisOptions { reach: None, ..Default::default() };
-    options.decompose.use_xor = false;
-    options.decompose.backend = backend;
-    options.budget.candidate_steps = candidate_steps;
-    options
-}
-
-/// One backend's aggregate over the rescue-family budget sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PortfolioRow {
-    /// Circuit family name.
-    pub name: String,
-    /// Decomposability backend the ladder's rescue rung used.
-    pub backend: String,
-    /// Per-candidate step budgets swept.
-    pub budgets_swept: usize,
-    /// Budget-tripped partition searches the rescue rung saved, summed
-    /// over the sweep. The acceptance signal: `> 0` for `sat` and
-    /// `portfolio`, always `0` for the pure-BDD ladder.
-    pub rescued: usize,
-    /// Smallest budget at which the rung fired (`0` = never).
-    pub first_rescue_budget: u64,
-    /// Largest budget at which the rung fired (`0` = never).
-    pub last_rescue_budget: u64,
-    /// Degradation-ladder steps (greedy / Shannon) over the sweep.
-    pub fallbacks: usize,
-    /// Candidates that kept their original cones over the sweep.
-    pub skipped: usize,
-    /// Portfolio races run (zero unless `backend = "portfolio"`).
-    pub races: u64,
-    /// Races the budgeted BDD arm decided.
-    pub bdd_wins: u64,
-    /// Races the SAT arm decided.
-    pub sat_wins: u64,
-    /// Losing arms observed to die of cancellation.
-    pub cancels: u64,
-    /// Smallest and/inv netlist achieved anywhere in the sweep.
-    pub best_ands: usize,
-    /// Whether every budget's run was reproducible: a second run at the
-    /// identical configuration emitted a byte-identical netlist with the
-    /// same rescue count — the race-winner-independence oracle.
-    pub deterministic: bool,
-    /// Wall-clock seconds for this backend's whole sweep.
-    pub seconds: f64,
-}
-
-/// Sweeps per-candidate step budgets over [`two_block_cones`] for each
-/// decomposability backend, recording where the rescue rung fires and
-/// double-running every configuration to audit determinism.
-pub fn portfolio_rows(quick: bool) -> Vec<PortfolioRow> {
-    let netlist = two_block_cones(if quick { 2 } else { 4 });
-    let mut budgets: Vec<u64> = Vec::new();
-    let mut b = 64u64;
-    while b <= 1 << 17 {
-        budgets.push(b);
-        b = (b * 5 / 4).max(b + 1);
-    }
-    let backends = [
-        recursive::DecBackend::Bdd,
-        recursive::DecBackend::Sat,
-        recursive::DecBackend::Portfolio,
-    ];
-    let mut rows = Vec::new();
-    for backend in backends {
-        let start = Instant::now();
-        let mut row = PortfolioRow {
-            name: netlist.name().to_string(),
-            backend: backend.to_string(),
-            budgets_swept: budgets.len(),
-            rescued: 0,
-            first_rescue_budget: 0,
-            last_rescue_budget: 0,
-            fallbacks: 0,
-            skipped: 0,
-            races: 0,
-            bdd_wins: 0,
-            sat_wins: 0,
-            cancels: 0,
-            best_ands: usize::MAX,
-            deterministic: true,
-            seconds: 0.0,
-        };
-        for &budget in &budgets {
-            let options = portfolio_flow_options(backend, budget);
-            let (net_a, rep_a) = optimize(&netlist, &options);
-            let (net_b, rep_b) = optimize(&netlist, &options);
-            row.deterministic &= symbi_netlist::bench::write(&net_a)
-                == symbi_netlist::bench::write(&net_b)
-                && rep_a.steps.rescued_checks == rep_b.steps.rescued_checks;
-            if rep_a.steps.rescued_checks > 0 {
-                if row.first_rescue_budget == 0 {
-                    row.first_rescue_budget = budget;
-                }
-                row.last_rescue_budget = budget;
-            }
-            row.rescued += rep_a.steps.rescued_checks;
-            row.fallbacks += rep_a.fallbacks_taken;
-            row.skipped += rep_a.candidates_skipped;
-            let p = rep_a.steps.portfolio;
-            row.races += p.races;
-            row.bdd_wins += p.bdd_wins;
-            row.sat_wins += p.sat_wins;
-            row.cancels += p.cancels;
-            row.best_ands = row.best_ands.min(symbi_netlist::stats::stats(&net_a).aig_ands);
-        }
-        row.seconds = start.elapsed().as_secs_f64();
-        rows.push(row);
-    }
-    rows
-}
-
-/// Serializes [`PortfolioRow`]s as JSON (hand-written — no serde in the
-/// workspace) in a stable schema for longitudinal comparison.
-pub fn portfolio_json(rows: &[PortfolioRow]) -> String {
-    let mut out =
-        String::from("{\n  \"schema\": \"symbi-portfolio-bench/v1\",\n  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            concat!(
-                "    {{\"name\": \"{}\", \"backend\": \"{}\", \"budgets_swept\": {}, ",
-                "\"rescued\": {}, \"first_rescue_budget\": {}, \"last_rescue_budget\": {}, ",
-                "\"fallbacks\": {}, \"skipped\": {}, \"races\": {}, \"bdd_wins\": {}, ",
-                "\"sat_wins\": {}, \"cancels\": {}, \"best_ands\": {}, ",
-                "\"deterministic\": {}, \"seconds\": {:.6}}}{}\n"
-            ),
-            r.name,
-            r.backend,
-            r.budgets_swept,
-            r.rescued,
-            r.first_rescue_budget,
-            r.last_rescue_budget,
-            r.fallbacks,
-            r.skipped,
-            r.races,
-            r.bdd_wins,
-            r.sat_wins,
-            r.cancels,
-            r.best_ands,
-            r.deterministic,
-            r.seconds,
-            if i + 1 == rows.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Runs [`portfolio_rows`] and writes [`portfolio_json`] to `path`.
-///
-/// # Errors
-///
-/// Propagates the I/O error if the file cannot be written.
-pub fn write_portfolio_json(
-    path: &std::path::Path,
-    quick: bool,
-) -> std::io::Result<Vec<PortfolioRow>> {
-    let rows = portfolio_rows(quick);
-    std::fs::write(path, portfolio_json(&rows))?;
-    Ok(rows)
 }
 
 // ---------------------------------------------------------------------
@@ -1689,25 +1535,6 @@ mod tests {
     fn figure32_shares_logic() {
         let fig = figure32();
         assert!(fig.sharing_hits > 0, "the AND(i0,i1) must be reused: {fig:?}");
-    }
-
-    #[test]
-    fn portfolio_sweep_rescues_what_the_bdd_ladder_abandons() {
-        let rows = portfolio_rows(true);
-        let by = |b: &str| rows.iter().find(|r| r.backend == b).expect("backend row");
-        let (bdd, sat, portfolio) = (by("bdd"), by("sat"), by("portfolio"));
-        // The pure-BDD ladder has no rescue rung: on the window budgets it
-        // degrades to greedy/Shannon instead.
-        assert_eq!(bdd.rescued, 0);
-        assert!(bdd.fallbacks > 0, "the window budgets must trip the symbolic search");
-        // Both rescue backends save partitions the BDD ladder abandons.
-        assert!(sat.rescued > 0, "SAT rescue never fired: {sat:?}");
-        assert!(portfolio.rescued > 0, "portfolio rescue never fired: {portfolio:?}");
-        assert!(portfolio.races > 0 && portfolio.bdd_wins + portfolio.sat_wins == portfolio.races);
-        // Race-winner independence: every configuration re-ran identically.
-        for r in &rows {
-            assert!(r.deterministic, "{} sweep was not reproducible", r.backend);
-        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! witnesses complemented back.
 
 use crate::choices::ChoiceSet;
-use crate::{or_dec, Interval};
+use crate::{or_dec, unlimited, Interval};
 use symbi_bdd::{Manager, NodeId, ResourceExhausted, ResourceGovernor, VarId};
 
 /// Existence check: is `[l, u]` AND-decomposable with `g1` vacuous in
@@ -16,8 +16,7 @@ pub fn decomposable(
     a_vacuous: &[VarId],
     b_vacuous: &[VarId],
 ) -> bool {
-    let comp = interval.complement(m);
-    or_dec::decomposable(m, &comp, a_vacuous, b_vacuous)
+    unlimited(|gov| try_decomposable(m, interval, a_vacuous, b_vacuous, gov))
 }
 
 /// Witnesses `(g1, g2)` with `g1 · g2` a member of the interval, obtained
@@ -28,9 +27,7 @@ pub fn witnesses(
     a_vacuous: &[VarId],
     b_vacuous: &[VarId],
 ) -> (NodeId, NodeId) {
-    let comp = interval.complement(m);
-    let (h1, h2) = or_dec::witnesses(m, &comp, a_vacuous, b_vacuous);
-    (m.not(h1), m.not(h2))
+    unlimited(|gov| try_witnesses(m, interval, a_vacuous, b_vacuous, gov))
 }
 
 /// Budgeted [`decomposable`].
@@ -66,8 +63,7 @@ impl Choices {
     /// Computes the AND `Bi(c1, c2)` as the OR `Bi` of the complement
     /// interval. Support semantics are identical.
     pub fn compute(m: &mut Manager, interval: &Interval, vars: &[VarId]) -> ChoiceSet {
-        let comp = interval.complement(m);
-        or_dec::Choices::compute(m, &comp, vars)
+        unlimited(|gov| Self::try_compute(m, interval, vars, gov))
     }
 
     /// Budgeted [`Choices::compute`].

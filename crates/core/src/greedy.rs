@@ -9,7 +9,7 @@
 //! functions — exactly the behaviour the paper's 16-bit-adder table
 //! demonstrates.
 
-use crate::{and_dec, or_dec, xor_dec, DecKind, Interval};
+use crate::{and_dec, or_dec, unlimited, xor_dec, DecKind, Interval};
 use symbi_bdd::{Manager, NodeId, ResourceExhausted, ResourceGovernor, VarId};
 
 /// Result of a greedy partition search.
@@ -27,21 +27,6 @@ impl GreedyOutcome {
     /// `(|x1|, |x2|)` support sizes implied by the vacuity sets.
     pub fn sizes(&self, num_vars: usize) -> (usize, usize) {
         (num_vars - self.a_vacuous.len(), num_vars - self.b_vacuous.len())
-    }
-}
-
-fn check(
-    m: &mut Manager,
-    kind: DecKind,
-    interval: &Interval,
-    vars: &[VarId],
-    a: &[VarId],
-    b: &[VarId],
-) -> bool {
-    match kind {
-        DecKind::Or => or_dec::decomposable(m, interval, a, b),
-        DecKind::And => and_dec::decomposable(m, interval, a, b),
-        DecKind::Xor => xor_dec::decomposable(m, interval, vars, a, b),
     }
 }
 
@@ -74,13 +59,10 @@ pub fn grow(
     interval: &Interval,
     vars: &[VarId],
 ) -> Option<GreedyOutcome> {
-    match grow_with_budget(m, kind, interval, vars, std::time::Duration::MAX) {
-        GreedyResult::Found(o) => Some(o),
-        _ => None,
-    }
+    unlimited(|gov| grow_governed(m, kind, interval, vars, gov))
 }
 
-fn try_check(
+fn check(
     m: &mut Manager,
     kind: DecKind,
     interval: &Interval,
@@ -110,10 +92,25 @@ pub fn grow_governed(
     gov: &ResourceGovernor,
 ) -> Result<Option<GreedyOutcome>, ResourceExhausted> {
     let mut checks = 0usize;
+    let found = seed_and_extend(vars, |a, b| {
+        checks += 1;
+        check(m, kind, interval, vars, a, b, gov)
+    })?;
+    Ok(found.map(|o| GreedyOutcome { checks, ..o }))
+}
+
+/// The greedy search every variant shares: seeds each variable pair until
+/// `check(a, b)` admits one, then extends both vacuity sets over the
+/// remaining variables. Returns the grown sets (`checks` left at 0 for
+/// the caller, which counts them), `None` when no seed pair is
+/// feasible, or the first error `check` reports.
+fn seed_and_extend<E>(
+    vars: &[VarId],
+    mut check: impl FnMut(&[VarId], &[VarId]) -> Result<bool, E>,
+) -> Result<Option<GreedyOutcome>, E> {
     for (i, &seed_a) in vars.iter().enumerate() {
         for &seed_b in &vars[i + 1..] {
-            checks += 1;
-            if !try_check(m, kind, interval, vars, &[seed_a], &[seed_b], gov)? {
+            if !check(&[seed_a], &[seed_b])? {
                 continue;
             }
             let mut a = vec![seed_a];
@@ -122,14 +119,16 @@ pub fn grow_governed(
                 if x == seed_a || x == seed_b {
                     continue;
                 }
+                // Try the smaller vacuity set first to keep supports
+                // balanced (growing a vacuity set shrinks that side's
+                // support).
                 let a_first = a.len() <= b.len();
                 if a_first {
                     a.push(x);
                 } else {
                     b.push(x);
                 }
-                checks += 1;
-                if !try_check(m, kind, interval, vars, &a, &b, gov)? {
+                if !check(&a, &b)? {
                     if a_first {
                         a.pop();
                         b.push(x);
@@ -137,8 +136,7 @@ pub fn grow_governed(
                         b.pop();
                         a.push(x);
                     }
-                    checks += 1;
-                    if !try_check(m, kind, interval, vars, &a, &b, gov)? {
+                    if !check(&a, &b)? {
                         if a_first {
                             b.pop();
                         } else {
@@ -147,7 +145,7 @@ pub fn grow_governed(
                     }
                 }
             }
-            return Ok(Some(GreedyOutcome { a_vacuous: a, b_vacuous: b, checks }));
+            return Ok(Some(GreedyOutcome { a_vacuous: a, b_vacuous: b, checks: 0 }));
         }
     }
     Ok(None)
@@ -227,76 +225,27 @@ pub fn grow_styled(
     let deadline = start.checked_add(budget).unwrap_or_else(|| {
         start + std::time::Duration::from_secs(86_400)
     });
-    let styled_check = |m: &mut Manager,
-                        checks: &mut usize,
-                        a: &[VarId],
-                        b: &[VarId]|
-     -> Option<bool> {
-        *checks += 1;
-        match (style, kind) {
+    // The deadline is read before every check; a check that passes it
+    // (the explicit XOR enumeration) also reports the timeout.
+    let mut checks = 0usize;
+    let found = seed_and_extend(vars, |a, b| {
+        if std::time::Instant::now() > deadline {
+            return Err(());
+        }
+        checks += 1;
+        let ok = match (style, kind) {
             (CheckStyle::ExplicitCofactor, DecKind::Xor) => {
                 explicit_xor_check(m, interval.upper, a, b, deadline)
             }
-            _ => Some(check(m, kind, interval, vars, a, b)),
-        }
-    };
-    let mut checks = 0usize;
-    for (i, &seed_a) in vars.iter().enumerate() {
-        for &seed_b in &vars[i + 1..] {
-            if std::time::Instant::now() > deadline {
-                return GreedyResult::TimedOut { checks };
-            }
-            let Some(ok) = styled_check(m, &mut checks, &[seed_a], &[seed_b]) else {
-                return GreedyResult::TimedOut { checks };
-            };
-            if !ok {
-                continue;
-            }
-            let mut a = vec![seed_a];
-            let mut b = vec![seed_b];
-            for &x in vars {
-                if x == seed_a || x == seed_b {
-                    continue;
-                }
-                if std::time::Instant::now() > deadline {
-                    return GreedyResult::TimedOut { checks };
-                }
-                // Try the smaller vacuity set first to keep supports
-                // balanced (growing a vacuity set shrinks that side's
-                // support).
-                let a_first = a.len() <= b.len();
-                if a_first {
-                    a.push(x);
-                } else {
-                    b.push(x);
-                }
-                let Some(first_ok) = styled_check(m, &mut checks, &a, &b) else {
-                    return GreedyResult::TimedOut { checks };
-                };
-                if !first_ok {
-                    if a_first {
-                        a.pop();
-                        b.push(x);
-                    } else {
-                        b.pop();
-                        a.push(x);
-                    }
-                    let Some(second_ok) = styled_check(m, &mut checks, &a, &b) else {
-                        return GreedyResult::TimedOut { checks };
-                    };
-                    if !second_ok {
-                        if a_first {
-                            b.pop();
-                        } else {
-                            a.pop();
-                        }
-                    }
-                }
-            }
-            return GreedyResult::Found(GreedyOutcome { a_vacuous: a, b_vacuous: b, checks });
-        }
+            _ => Some(unlimited(|gov| check(m, kind, interval, vars, a, b, gov))),
+        };
+        ok.ok_or(())
+    });
+    match found {
+        Ok(Some(o)) => GreedyResult::Found(GreedyOutcome { checks, ..o }),
+        Ok(None) => GreedyResult::Infeasible,
+        Err(()) => GreedyResult::TimedOut { checks },
     }
-    GreedyResult::Infeasible
 }
 
 #[cfg(test)]

@@ -4,6 +4,7 @@
 //! specified function by its lower and upper bounds. The interval is
 //! *consistent* (non-empty) iff `l ≤ u`.
 
+use crate::unlimited;
 use symbi_bdd::{Manager, NodeId, ResourceExhausted, ResourceGovernor, VarId};
 
 /// An incompletely specified Boolean function, as the interval `[l, u]`.
@@ -50,22 +51,22 @@ impl Interval {
     /// `dc` — how unreachable states widen a signal's specification
     /// (§3.5.1).
     pub fn with_dontcare(m: &mut Manager, f: NodeId, dc: NodeId) -> Self {
-        Interval { lower: m.diff(f, dc), upper: m.or(f, dc) }
+        unlimited(|gov| Self::try_with_dontcare(m, f, dc, gov))
     }
 
     /// Consistency (non-emptiness): `lower ≤ upper`.
     pub fn is_consistent(&self, m: &mut Manager) -> bool {
-        m.leq(self.lower, self.upper)
+        unlimited(|gov| self.try_is_consistent(m, gov))
     }
 
     /// Is the completely specified `f` a member of this interval?
     pub fn contains(&self, m: &mut Manager, f: NodeId) -> bool {
-        m.leq(self.lower, f) && m.leq(f, self.upper)
+        unlimited(|gov| self.try_contains(m, f, gov))
     }
 
     /// The don't-care set `¬l · u`.
     pub fn dontcare_set(&self, m: &mut Manager) -> NodeId {
-        m.diff(self.upper, self.lower)
+        unlimited(|gov| self.try_dontcare_set(m, gov))
     }
 
     /// Is the interval a single completely specified function?
@@ -76,7 +77,7 @@ impl Interval {
     /// The complemented interval `[ū, l̄]` (used for AND decomposition via
     /// OR duality, §3.3.1).
     pub fn complement(&self, m: &mut Manager) -> Interval {
-        Interval { lower: m.not(self.upper), upper: m.not(self.lower) }
+        unlimited(|gov| self.try_complement(m, gov))
     }
 
     /// Abstraction `∀vars [l, u] = [∃vars l, ∀vars u]` (§3.2.1): the
@@ -84,7 +85,7 @@ impl Interval {
     /// `vars`. May be inconsistent — Example 3.2 abstracts `y` from
     /// `[x̄y, x+y]` and obtains the empty `[x̄, x]`.
     pub fn abstract_vars(&self, m: &mut Manager, vars: &[VarId]) -> Interval {
-        Interval { lower: m.exists(self.lower, vars), upper: m.forall(self.upper, vars) }
+        unlimited(|gov| self.try_abstract_vars(m, vars, gov))
     }
 
     /// Union of the bounds' supports.
@@ -106,16 +107,7 @@ impl Interval {
     /// across all subsets — use [`crate::param::abstraction_choices`] for
     /// the exhaustive symbolic version.
     pub fn reduce_support(&self, m: &mut Manager) -> (Interval, Vec<VarId>) {
-        let mut current = *self;
-        let mut removed = Vec::new();
-        for v in self.support(m) {
-            let candidate = current.abstract_vars(m, &[v]);
-            if candidate.is_consistent(m) {
-                current = candidate;
-                removed.push(v);
-            }
-        }
-        (current, removed)
+        unlimited(|gov| self.try_reduce_support(m, gov))
     }
 
     /// Picks one member function, heuristically small: vacuous variables
@@ -123,28 +115,13 @@ impl Interval {
     /// [`Manager::restrict`]ed to the care set `l + ū` (don't-care points
     /// float to whatever shrinks the BDD). Any member would be correct.
     pub fn pick_member(&self, m: &mut Manager) -> NodeId {
-        let (reduced, _) = self.reduce_support(m);
-        if reduced.is_exact() {
-            return reduced.lower;
-        }
-        let dc = reduced.dontcare_set(m);
-        let care = m.not(dc);
-        let candidate = m.restrict(reduced.lower, care);
-        if reduced.contains(m, candidate) {
-            candidate
-        } else {
-            // `restrict` may leave the interval on don't-care points of
-            // inconsistent polarity; clamp back into the bounds.
-            let t = m.or(candidate, reduced.lower);
-            m.and(t, reduced.upper)
-        }
+        unlimited(|gov| self.try_pick_member(m, gov))
     }
 
-    // --- Budgeted twins -------------------------------------------------
+    // --- Governed operations --------------------------------------------
     //
-    // Same computations as the methods above, with every BDD operation
-    // routed through the governor. A successful call returns exactly what
-    // the unbudgeted method would (BDD canonicity).
+    // Every BDD operation is routed through the governor; the unbudgeted
+    // methods above run these under an unlimited one.
 
     /// Budgeted [`Interval::with_dontcare`].
     pub fn try_with_dontcare(
@@ -241,6 +218,8 @@ impl Interval {
         if reduced.try_contains(m, candidate, gov)? {
             Ok(candidate)
         } else {
+            // `restrict` may leave the interval on don't-care points of
+            // inconsistent polarity; clamp back into the bounds.
             let t = m.try_or(candidate, reduced.lower, gov)?;
             m.try_and(t, reduced.upper, gov)
         }

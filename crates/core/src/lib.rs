@@ -60,12 +60,21 @@ pub mod greedy;
 mod interval;
 pub mod or_dec;
 pub mod param;
-pub mod portfolio;
 pub mod recursive;
 pub mod sat_dec;
 pub mod xor_dec;
 
 pub use interval::Interval;
+
+use symbi_bdd::{ResourceExhausted, ResourceGovernor};
+
+/// Runs a governed operation under [`ResourceGovernor::unlimited`]: how
+/// each unbudgeted entry point of this crate calls its `try_*` twin.
+pub(crate) fn unlimited<T>(
+    op: impl FnOnce(&ResourceGovernor) -> Result<T, ResourceExhausted>,
+) -> T {
+    op(&ResourceGovernor::unlimited()).expect("an unlimited governor never trips")
+}
 
 /// The two-input primitive used at the root of a bi-decomposition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

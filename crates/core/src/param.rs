@@ -13,7 +13,7 @@
 //! *consistent* abstraction subsets of an interval (Example 3.5) is
 //! `∀x [L(c,x) → U(c,x)]`.
 
-use crate::Interval;
+use crate::{unlimited, Interval};
 use symbi_bdd::{Manager, NodeId, ResourceExhausted, ResourceGovernor, VarId};
 
 /// Builds `U(c, x)`: for each `(x, c_x)` pair, `c_x = 1` keeps `x`,
@@ -22,25 +22,13 @@ use symbi_bdd::{Manager, NodeId, ResourceExhausted, ResourceGovernor, VarId};
 /// Pairs may come in any order; the decision variables must be distinct
 /// from the function variables.
 pub fn parameterize_forall(m: &mut Manager, f: NodeId, pairs: &[(VarId, VarId)]) -> NodeId {
-    let mut acc = f;
-    for &(x, c) in pairs {
-        let abstracted = m.forall_var(acc, x);
-        let cnode = m.var(c);
-        acc = m.ite(cnode, acc, abstracted);
-    }
-    acc
+    unlimited(|gov| try_parameterize_forall(m, f, pairs, gov))
 }
 
 /// Builds `L(c, x)`: like [`parameterize_forall`] with existential
 /// quantification, for lower bounds.
 pub fn parameterize_exists(m: &mut Manager, f: NodeId, pairs: &[(VarId, VarId)]) -> NodeId {
-    let mut acc = f;
-    for &(x, c) in pairs {
-        let abstracted = m.exists_var(acc, x);
-        let cnode = m.var(c);
-        acc = m.ite(cnode, acc, abstracted);
-    }
-    acc
+    unlimited(|gov| try_parameterize_exists(m, f, pairs, gov))
 }
 
 /// Budgeted [`parameterize_forall`]: identical chain, every `∀` and `ITE`

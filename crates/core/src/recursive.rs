@@ -20,7 +20,6 @@
 //! Shannon expansion, which always removes one variable, so the recursion
 //! terminates with leaves that are literals or constants.
 
-use crate::portfolio::{self, PortfolioStats};
 use crate::{and_dec, choices::SupportPair, greedy, or_dec, sat_dec, xor_dec, DecKind, Interval};
 use symbi_bdd::{Manager, NodeId, ResourceExhausted, ResourceGovernor, VarId};
 
@@ -148,22 +147,18 @@ pub enum PartitionStrategy {
 /// Which engine backs the fixed-partition decomposability checks of the
 /// degradation ladder's *rescue rung* (see [`try_decompose`]).
 ///
-/// Both alternate backends are sound and complete for the fixed
-/// partitions the rescue tries, so the selected backend can change
-/// *which* budget-tripped checks are saved — never the verdict of a
-/// check that completes. `Sat` and `Portfolio` therefore produce
-/// byte-identical trees at equal budgets.
+/// The SAT backend is sound and complete for the fixed partitions the
+/// rescue tries, so the selected backend can change *which*
+/// budget-tripped checks are saved — never the verdict of a check that
+/// completes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecBackend {
     /// BDD checks only: a budget trip degrades straight to greedy
-    /// growth (the pre-portfolio behaviour).
+    /// growth.
     Bdd,
     /// Retry a budget-tripped check on the Lee–Jiang–Hung CNF encoding
     /// ([`crate::sat_dec`]); exact intervals only.
     Sat,
-    /// Race the BDD check against the CNF check on two threads and take
-    /// the first sound verdict ([`crate::portfolio`]).
-    Portfolio,
 }
 
 impl std::fmt::Display for DecBackend {
@@ -171,7 +166,6 @@ impl std::fmt::Display for DecBackend {
         f.write_str(match self {
             DecBackend::Bdd => "bdd",
             DecBackend::Sat => "sat",
-            DecBackend::Portfolio => "portfolio",
         })
     }
 }
@@ -183,8 +177,7 @@ impl std::str::FromStr for DecBackend {
         match s {
             "bdd" => Ok(DecBackend::Bdd),
             "sat" => Ok(DecBackend::Sat),
-            "portfolio" => Ok(DecBackend::Portfolio),
-            _ => Err(format!("unknown decomposability backend `{s}` (bdd|sat|portfolio)")),
+            _ => Err(format!("unknown decomposability backend `{s}` (bdd|sat)")),
         }
     }
 }
@@ -234,11 +227,8 @@ pub struct Stats {
     /// partition search → greedy growth → Shannon expansion.
     pub fallbacks_taken: usize,
     /// Budget-tripped partition searches saved by the rescue rung (a
-    /// feasible fixed split proved by the SAT or portfolio backend).
+    /// feasible fixed split proved by the SAT backend).
     pub rescued_checks: usize,
-    /// Portfolio-race counters (all zero unless the backend is
-    /// [`DecBackend::Portfolio`]).
-    pub portfolio: PortfolioStats,
 }
 
 /// Recursively decomposes a consistent interval into a [`Tree`] whose
@@ -248,207 +238,7 @@ pub struct Stats {
 ///
 /// Panics if the interval is inconsistent.
 pub fn decompose(m: &mut Manager, interval: &Interval, options: &Options) -> (Tree, Stats) {
-    assert!(
-        { interval.is_consistent(m) },
-        "cannot decompose an empty interval"
-    );
-    let mut stats = Stats::default();
-    let tree = decompose_rec(m, *interval, options, &mut stats, 0);
-    (tree, stats)
-}
-
-fn decompose_rec(
-    m: &mut Manager,
-    interval: Interval,
-    options: &Options,
-    stats: &mut Stats,
-    depth: usize,
-) -> Tree {
-    // 1. Abstract vacuous variables (§3.5.1 pre-processing).
-    let (iv, removed) = interval.reduce_support(m);
-    stats.vars_abstracted += removed.len();
-
-    // 2. Constants.
-    if iv.lower.is_false() {
-        return Tree::Const(false);
-    }
-    if iv.upper.is_true() {
-        return Tree::Const(true);
-    }
-    let support = iv.support(m);
-    debug_assert!(!support.is_empty(), "non-constant interval with empty support");
-
-    // 3. Single literal.
-    if support.len() == 1 {
-        let v = support[0];
-        let pos = m.var(v);
-        if iv.contains(m, pos) {
-            return Tree::Literal(v, true);
-        }
-        let neg = m.not(pos);
-        if iv.contains(m, neg) {
-            return Tree::Literal(v, false);
-        }
-        unreachable!("a 1-variable non-constant interval contains a literal");
-    }
-
-    // 4. Bi-decomposition with the best balanced partition across kinds.
-    // Stack depth is bounded by the support size, but guard anyway.
-    if depth < 256 {
-        if let Some((kind, pair)) = best_partition(m, &iv, &support, options) {
-            let a_vac: Vec<VarId> =
-                support.iter().copied().filter(|v| !pair.g1_vars.contains(v)).collect();
-            let b_vac: Vec<VarId> =
-                support.iter().copied().filter(|v| !pair.g2_vars.contains(v)).collect();
-            match kind {
-                DecKind::Or => {
-                    stats.or_steps += 1;
-                    let (t1, t2) = split_or(m, &iv, &a_vac, &b_vac, options, stats, depth);
-                    return Tree::Op(DecKind::Or, Box::new(t1), Box::new(t2));
-                }
-                DecKind::And => {
-                    stats.and_steps += 1;
-                    let comp = iv.complement(m);
-                    let (t1, t2) = split_or(m, &comp, &a_vac, &b_vac, options, stats, depth);
-                    return Tree::Op(
-                        DecKind::And,
-                        Box::new(t1.negate()),
-                        Box::new(t2.negate()),
-                    );
-                }
-                DecKind::Xor => {
-                    if let Some((g1, g2)) =
-                        xor_dec::witnesses(m, &iv, &support, &a_vac, &b_vac)
-                    {
-                        stats.xor_steps += 1;
-                        let t1 =
-                            decompose_rec(m, Interval::exact(g1), options, stats, depth + 1);
-                        let t2 =
-                            decompose_rec(m, Interval::exact(g2), options, stats, depth + 1);
-                        return Tree::Op(DecKind::Xor, Box::new(t1), Box::new(t2));
-                    }
-                    // Construction failed (interval condition was
-                    // optimistic): fall through to Shannon.
-                }
-            }
-        }
-    }
-
-    // 5. Shannon fallback: always removes one variable. The select
-    // variable is chosen to balance (and ideally shrink) the cofactor
-    // supports, which keeps the MUX tree shallow.
-    stats.shannon_steps += 1;
-    let v = *support
-        .iter()
-        .min_by_key(|&&v| {
-            let hi_l = m.cofactor(iv.lower, v, true);
-            let hi_u = m.cofactor(iv.upper, v, true);
-            let lo_l = m.cofactor(iv.lower, v, false);
-            let lo_u = m.cofactor(iv.upper, v, false);
-            let hi_supp = Interval::new(hi_l, hi_u).support(m).len();
-            let lo_supp = Interval::new(lo_l, lo_u).support(m).len();
-            (hi_supp.max(lo_supp), hi_supp + lo_supp)
-        })
-        .expect("non-empty support");
-    let hi = Interval::new(m.cofactor(iv.lower, v, true), m.cofactor(iv.upper, v, true));
-    let lo = Interval::new(m.cofactor(iv.lower, v, false), m.cofactor(iv.upper, v, false));
-    let t_hi = decompose_rec(m, hi, options, stats, depth + 1);
-    let t_lo = decompose_rec(m, lo, options, stats, depth + 1);
-    // ITE(v, hi, lo) = v·hi + v̄·lo.
-    let then_branch = Tree::Op(
-        DecKind::And,
-        Box::new(Tree::Literal(v, true)),
-        Box::new(t_hi),
-    );
-    let else_branch = Tree::Op(
-        DecKind::And,
-        Box::new(Tree::Literal(v, false)),
-        Box::new(t_lo),
-    );
-    Tree::Op(DecKind::Or, Box::new(then_branch), Box::new(else_branch))
-}
-
-/// Derives the two OR sub-problems and recurses (shared by OR and, through
-/// complementation, AND).
-fn split_or(
-    m: &mut Manager,
-    iv: &Interval,
-    a_vac: &[VarId],
-    b_vac: &[VarId],
-    options: &Options,
-    stats: &mut Stats,
-    depth: usize,
-) -> (Tree, Tree) {
-    let u1 = m.forall(iv.upper, a_vac);
-    let u2 = m.forall(iv.upper, b_vac);
-    // g2 covers what the maximal g1 cannot.
-    let uncovered = m.diff(iv.lower, u1);
-    let l2 = m.exists(uncovered, b_vac);
-    let iv2 = Interval::new(l2, u2);
-    let t2 = decompose_rec(m, iv2, options, stats, depth + 1);
-    let g2 = t2.to_bdd(m);
-    // Re-derive g1's obligation against the concrete g2.
-    let residual = m.diff(iv.lower, g2);
-    let l1 = m.exists(residual, a_vac);
-    let iv1 = Interval::new(l1, u1);
-    let t1 = decompose_rec(m, iv1, options, stats, depth + 1);
-    (t1, t2)
-}
-
-/// Best balanced non-trivial partition across the enabled kinds.
-fn best_partition(
-    m: &mut Manager,
-    iv: &Interval,
-    support: &[VarId],
-    options: &Options,
-) -> Option<(DecKind, SupportPair)> {
-    let n = support.len();
-    let symbolic = match options.strategy {
-        PartitionStrategy::Symbolic => true,
-        PartitionStrategy::Greedy => false,
-        PartitionStrategy::Auto(limit) => n <= limit,
-    };
-    let mut kinds = vec![DecKind::Or, DecKind::And];
-    if options.use_xor {
-        kinds.push(DecKind::Xor);
-    }
-    let mut best: Option<(DecKind, SupportPair)> = None;
-    let mut best_key = (usize::MAX, usize::MAX, usize::MAX);
-    for kind in kinds {
-        let pair = if symbolic {
-            let mut ch = match kind {
-                DecKind::Or => or_dec::Choices::compute(m, iv, support),
-                DecKind::And => and_dec::Choices::compute(m, iv, support),
-                DecKind::Xor => xor_dec::Choices::compute(m, iv, support),
-            };
-            ch.pick_balanced_partition()
-        } else {
-            greedy::grow(m, kind, iv, support).map(|o| SupportPair {
-                g1_vars: support
-                    .iter()
-                    .copied()
-                    .filter(|v| !o.a_vacuous.contains(v))
-                    .collect(),
-                g2_vars: support
-                    .iter()
-                    .copied()
-                    .filter(|v| !o.b_vacuous.contains(v))
-                    .collect(),
-            })
-        };
-        if let Some(p) = pair {
-            let (k1, k2) = p.sizes();
-            if k1.max(k2) >= n {
-                continue; // trivial
-            }
-            let key = (k1.max(k2), k1 + k2, p.shared().len());
-            if key < best_key {
-                best_key = key;
-                best = Some((kind, p));
-            }
-        }
-    }
-    best
+    crate::unlimited(|gov| try_decompose(m, interval, options, gov))
 }
 
 /// Budgeted [`decompose`] with a graceful-degradation ladder.
@@ -460,9 +250,9 @@ fn best_partition(
 /// 1. the symbolic `Bi` computation runs under a child governor holding
 ///    half the remaining step budget (so a blow-up there cannot starve
 ///    the fallbacks),
-/// 2. on exhaustion — with a non-default [`Options::backend`] — the
-///    *rescue rung* retries a deterministic fixed split on the SAT or
-///    portfolio backend instead of abandoning the partition,
+/// 2. on exhaustion — with [`Options::backend`] set to
+///    [`DecBackend::Sat`] — the *rescue rung* retries a deterministic
+///    fixed split on the SAT backend instead of abandoning the partition,
 /// 3. failing that, the step falls back to governed greedy growth,
 /// 4. on exhaustion again, to the Shannon expansion.
 ///
@@ -471,8 +261,8 @@ fn best_partition(
 /// correct tree can be produced at all. Callers (the synthesis flow) keep
 /// the original cone in that case.
 ///
-/// Under an unlimited governor this returns exactly what [`decompose`]
-/// returns (with zeroed budget counters), by BDD canonicity.
+/// [`decompose`] is this function under an unlimited governor, whose
+/// budget counters stay zero.
 pub fn try_decompose(
     m: &mut Manager,
     interval: &Interval,
@@ -484,11 +274,11 @@ pub fn try_decompose(
         "cannot decompose an empty interval"
     );
     let mut stats = Stats::default();
-    let tree = try_decompose_rec(m, *interval, options, &mut stats, 0, gov)?;
+    let tree = decompose_rec(m, *interval, options, &mut stats, 0, gov)?;
     Ok((tree, stats))
 }
 
-fn try_decompose_rec(
+fn decompose_rec(
     m: &mut Manager,
     interval: Interval,
     options: &Options,
@@ -496,9 +286,11 @@ fn try_decompose_rec(
     depth: usize,
     gov: &ResourceGovernor,
 ) -> Result<Tree, ResourceExhausted> {
+    // 1. Abstract vacuous variables (§3.5.1 pre-processing).
     let (iv, removed) = interval.try_reduce_support(m, gov)?;
     stats.vars_abstracted += removed.len();
 
+    // 2. Constants.
     if iv.lower.is_false() {
         return Ok(Tree::Const(false));
     }
@@ -508,6 +300,7 @@ fn try_decompose_rec(
     let support = iv.support(m);
     debug_assert!(!support.is_empty(), "non-constant interval with empty support");
 
+    // 3. Single literal.
     if support.len() == 1 {
         let v = support[0];
         let pos = m.var(v);
@@ -521,8 +314,10 @@ fn try_decompose_rec(
         unreachable!("a 1-variable non-constant interval contains a literal");
     }
 
+    // 4. Bi-decomposition with the best balanced partition across kinds.
+    // Stack depth is bounded by the support size, but guard anyway.
     if depth < 256 {
-        if let Some((kind, pair)) = try_best_partition(m, &iv, &support, options, stats, gov)? {
+        if let Some((kind, pair)) = best_partition(m, &iv, &support, options, stats, gov)? {
             let a_vac: Vec<VarId> =
                 support.iter().copied().filter(|v| !pair.g1_vars.contains(v)).collect();
             let b_vac: Vec<VarId> =
@@ -531,14 +326,14 @@ fn try_decompose_rec(
                 DecKind::Or => {
                     stats.or_steps += 1;
                     let (t1, t2) =
-                        try_split_or(m, &iv, &a_vac, &b_vac, options, stats, depth, gov)?;
+                        split_or(m, &iv, &a_vac, &b_vac, options, stats, depth, gov)?;
                     return Ok(Tree::Op(DecKind::Or, Box::new(t1), Box::new(t2)));
                 }
                 DecKind::And => {
                     stats.and_steps += 1;
                     let comp = iv.try_complement(m, gov)?;
                     let (t1, t2) =
-                        try_split_or(m, &comp, &a_vac, &b_vac, options, stats, depth, gov)?;
+                        split_or(m, &comp, &a_vac, &b_vac, options, stats, depth, gov)?;
                     return Ok(Tree::Op(
                         DecKind::And,
                         Box::new(t1.negate()),
@@ -552,7 +347,7 @@ fn try_decompose_rec(
                     match xor_dec::try_witnesses(m, &iv, &support, &a_vac, &b_vac, gov) {
                         Ok(Some((g1, g2))) => {
                             stats.xor_steps += 1;
-                            let t1 = try_decompose_rec(
+                            let t1 = decompose_rec(
                                 m,
                                 Interval::exact(g1),
                                 options,
@@ -560,7 +355,7 @@ fn try_decompose_rec(
                                 depth + 1,
                                 gov,
                             )?;
-                            let t2 = try_decompose_rec(
+                            let t2 = decompose_rec(
                                 m,
                                 Interval::exact(g2),
                                 options,
@@ -581,6 +376,9 @@ fn try_decompose_rec(
         }
     }
 
+    // 5. Shannon fallback: always removes one variable. The select
+    // variable is chosen to balance (and ideally shrink) the cofactor
+    // supports, which keeps the MUX tree shallow.
     stats.shannon_steps += 1;
     let mut best: Option<(usize, usize, VarId)> = None;
     for &v in &support {
@@ -604,8 +402,9 @@ fn try_decompose_rec(
         m.try_cofactor(iv.lower, v, false, gov)?,
         m.try_cofactor(iv.upper, v, false, gov)?,
     );
-    let t_hi = try_decompose_rec(m, hi, options, stats, depth + 1, gov)?;
-    let t_lo = try_decompose_rec(m, lo, options, stats, depth + 1, gov)?;
+    let t_hi = decompose_rec(m, hi, options, stats, depth + 1, gov)?;
+    let t_lo = decompose_rec(m, lo, options, stats, depth + 1, gov)?;
+    // ITE(v, hi, lo) = v·hi + v̄·lo.
     let then_branch = Tree::Op(
         DecKind::And,
         Box::new(Tree::Literal(v, true)),
@@ -619,9 +418,10 @@ fn try_decompose_rec(
     Ok(Tree::Op(DecKind::Or, Box::new(then_branch), Box::new(else_branch)))
 }
 
-/// Governed [`split_or`].
+/// Derives the two OR sub-problems and recurses (shared by OR and, through
+/// complementation, AND).
 #[allow(clippy::too_many_arguments)]
-fn try_split_or(
+fn split_or(
     m: &mut Manager,
     iv: &Interval,
     a_vac: &[VarId],
@@ -633,27 +433,30 @@ fn try_split_or(
 ) -> Result<(Tree, Tree), ResourceExhausted> {
     let u1 = m.try_forall(iv.upper, a_vac, gov)?;
     let u2 = m.try_forall(iv.upper, b_vac, gov)?;
+    // g2 covers what the maximal g1 cannot.
     let uncovered = m.try_diff(iv.lower, u1, gov)?;
     let l2 = m.try_exists(uncovered, b_vac, gov)?;
     let iv2 = Interval::new(l2, u2);
-    let t2 = try_decompose_rec(m, iv2, options, stats, depth + 1, gov)?;
+    let t2 = decompose_rec(m, iv2, options, stats, depth + 1, gov)?;
     let g2 = t2.to_bdd(m);
+    // Re-derive g1's obligation against the concrete g2.
     let residual = m.try_diff(iv.lower, g2, gov)?;
     let l1 = m.try_exists(residual, a_vac, gov)?;
     let iv1 = Interval::new(l1, u1);
-    let t1 = try_decompose_rec(m, iv1, options, stats, depth + 1, gov)?;
+    let t1 = decompose_rec(m, iv1, options, stats, depth + 1, gov)?;
     Ok((t1, t2))
 }
 
-/// Governed [`best_partition`] — the degradation ladder lives here.
+/// Best balanced non-trivial partition across the enabled kinds — the
+/// degradation ladder lives here.
 ///
 /// Per kind: the symbolic search runs under a child governor holding half
-/// the remaining step budget; if it exhausts, the rescue rung (SAT or
-/// portfolio backend, when enabled) tries to prove a deterministic fixed
-/// split; failing that, governed greedy growth takes over; if that
-/// exhausts too, the kind simply reports "no partition", which steers
-/// the caller into Shannon.
-fn try_best_partition(
+/// the remaining step budget; if it exhausts, the rescue rung (SAT
+/// backend, when enabled) tries to prove a deterministic fixed split;
+/// failing that, governed greedy growth takes over; if that exhausts too,
+/// the kind simply reports "no partition", which steers the caller into
+/// Shannon.
+fn best_partition(
     m: &mut Manager,
     iv: &Interval,
     support: &[VarId],
@@ -689,7 +492,7 @@ fn try_best_partition(
                 Err(_) => {
                     stats.budget_exhausted_ops += 1;
                     stats.fallbacks_taken += 1;
-                    // Rung 2 (sat/portfolio backends): instead of
+                    // Rung 2 (sat backend): instead of
                     // abandoning the partition search, retry a
                     // deterministic fixed split on the alternate
                     // backend — SAT often dispatches exactly the cones
@@ -731,7 +534,7 @@ fn try_best_partition(
         if let Some(p) = pair {
             let (k1, k2) = p.sizes();
             if k1.max(k2) >= n {
-                continue;
+                continue; // trivial
             }
             let key = (k1.max(k2), k1 + k2, p.shared().len());
             if key < best_key {
@@ -746,13 +549,12 @@ fn try_best_partition(
 /// The rescue rung: after a budget-tripped symbolic search, prove (or
 /// refute) one deterministic candidate split — the midpoint of the
 /// sorted support, the split a block-structured cone actually has — on
-/// the backend selected by [`Options::backend`].
+/// the SAT backend when [`Options::backend`] selects it.
 ///
-/// Runs under a half-budget fork of `gov` and swallows its own
+/// Runs under a quarter-budget fork of `gov` and swallows its own
 /// exhaustion: `None` simply steers the ladder to the greedy rung. The
-/// candidate split and both backends' verdicts are deterministic, so
-/// whether a rescue succeeds is a pure function of the inputs and
-/// budgets — never of thread timing.
+/// candidate split and the SAT verdict are deterministic, so whether a
+/// rescue succeeds is a pure function of the inputs and budgets.
 fn try_rescue_pair(
     m: &mut Manager,
     kind: DecKind,
@@ -762,12 +564,8 @@ fn try_rescue_pair(
     stats: &mut Stats,
     gov: &ResourceGovernor,
 ) -> Option<SupportPair> {
-    if options.backend == DecBackend::Bdd || support.len() < 2 {
-        return None;
-    }
-    if options.backend == DecBackend::Sat && !iv.is_exact() {
-        // The CNF encoding only handles completely specified functions;
-        // the portfolio backend falls back to its BDD arm instead.
+    // The CNF encoding only handles completely specified functions.
+    if options.backend == DecBackend::Bdd || support.len() < 2 || !iv.is_exact() {
         return None;
     }
     let mid = support.len() / 2;
@@ -776,40 +574,13 @@ fn try_rescue_pair(
     // Vacuous sets are the complements: g1 must not read the g2 block
     // and vice versa.
     //
-    // Quarter-budget fork, not the ladder's usual half: the portfolio
-    // race *prepays* this fork's entire limit to the ancestors whatever
-    // its arms consume, and a winning rescue still has to fund the
-    // structural build of both halves afterwards. A half-size prepay
-    // starves that build at exactly the budgets where the rescue fires.
+    //
+    // Quarter-budget fork, not the ladder's usual half: a winning rescue
+    // still has to fund the structural build of both halves afterwards.
     let sub = gov.fork_steps(gov.remaining_steps() / 4);
-    let feasible = match options.backend {
-        DecBackend::Bdd => unreachable!("handled above"),
-        DecBackend::Sat => sat_dec::try_decomposable(
-            m,
-            kind,
-            iv,
-            support,
-            &g2,
-            &g1,
-            options.sat_conflicts,
-            &sub,
-        )
-        .map(|(dec, _)| dec),
-        DecBackend::Portfolio => portfolio::try_decomposable(
-            m,
-            kind,
-            iv,
-            support,
-            &g2,
-            &g1,
-            options.sat_conflicts,
-            &sub,
-        )
-        .map(|(dec, race)| {
-            stats.portfolio.absorb(&race);
-            dec
-        }),
-    };
+    let feasible =
+        sat_dec::try_decomposable(m, kind, iv, support, &g2, &g1, options.sat_conflicts, &sub)
+            .map(|(dec, _)| dec);
     match feasible {
         Ok(true) => Some(SupportPair { g1_vars: g1, g2_vars: g2 }),
         Ok(false) => None,
@@ -1082,52 +853,18 @@ mod tests {
     }
 
     #[test]
-    fn portfolio_rescue_is_deterministic_across_reruns() {
-        // The race prepays its budget, so step accounting — and with it
-        // the produced tree — is a pure function of the limits, never of
-        // which arm wins. Re-running must reproduce the tree exactly.
-        let mut budgets = vec![64u64];
-        while *budgets.last().unwrap() < 1 << 16 {
-            let b = *budgets.last().unwrap();
-            budgets.push(b + b / 4);
-        }
-        for &budget in &budgets {
-            let opts = rescue_options(DecBackend::Portfolio);
-            let run = || {
-                let mut m = Manager::new();
-                let iv = two_block_function(&mut m);
-                let gov = ResourceGovernor::unlimited().with_step_limit(budget);
-                try_decompose(&mut m, &iv, &opts, &gov)
-                    .map(|(tree, stats)| (tree, stats.rescued_checks))
-            };
-            let first = run();
-            let second = run();
-            match (&first, &second) {
-                (Ok((t1, r1)), Ok((t2, r2))) => {
-                    assert_eq!(t1, t2, "budget {budget}: race winner leaked into the tree");
-                    assert_eq!(r1, r2, "budget {budget}: rescue count must be deterministic");
-                }
-                (Err(e1), Err(e2)) => assert_eq!(e1, e2, "budget {budget}"),
-                _ => panic!("budget {budget}: one run succeeded, the other failed"),
-            }
-        }
-    }
-
-    #[test]
     fn unlimited_budgets_make_all_backends_identical() {
         let gov = ResourceGovernor::unlimited();
         let mut trees = Vec::new();
-        for backend in [DecBackend::Bdd, DecBackend::Sat, DecBackend::Portfolio] {
+        for backend in [DecBackend::Bdd, DecBackend::Sat] {
             let mut m = Manager::new();
             let iv = two_block_function(&mut m);
             let opts = Options { backend, ..Default::default() };
             let (tree, stats) = try_decompose(&mut m, &iv, &opts, &gov).expect("unlimited");
             assert_eq!(stats.rescued_checks, 0, "{backend}: no budget trip, no rescue");
-            assert_eq!(stats.portfolio, PortfolioStats::default());
             trees.push(tree);
         }
         assert_eq!(trees[0], trees[1], "sat backend is inert without budget trips");
-        assert_eq!(trees[0], trees[2], "portfolio backend is inert without budget trips");
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! [`grow_or_partition`] additionally implements \[14\]'s unsat-core-guided
 //! partition growing for OR.
 
-use crate::Interval;
+use crate::{unlimited, Interval};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
 use symbi_bdd::{FaultSite, Manager, NodeId, ResourceExhausted, ResourceGovernor, VarId};
@@ -170,22 +170,7 @@ pub fn or_decomposable(
     a_vacuous: &[VarId],
     b_vacuous: &[VarId],
 ) -> bool {
-    or_decomposable_with_stats(m, f, vars, a_vacuous, b_vacuous).0
-}
-
-/// [`or_decomposable`] plus the solver statistics of the check, for
-/// callers that track SAT effort (benchmarks, synthesis reports).
-pub fn or_decomposable_with_stats(
-    m: &Manager,
-    f: NodeId,
-    vars: &[VarId],
-    a_vacuous: &[VarId],
-    b_vacuous: &[VarId],
-) -> (bool, SolverStats) {
-    let mut solver = Solver::new();
-    encode_or_formula(&mut solver, m, f, vars, a_vacuous, b_vacuous);
-    let dec = !solver.solve().is_sat();
-    (dec, solver.stats)
+    unlimited(|gov| try_or_decomposable(m, f, vars, a_vacuous, b_vacuous, u64::MAX, gov)).0
 }
 
 /// Encodes the three-copy OR-decomposability refutation formula into
@@ -249,19 +234,7 @@ pub fn and_decomposable(
     a_vacuous: &[VarId],
     b_vacuous: &[VarId],
 ) -> bool {
-    and_decomposable_with_stats(m, f, vars, a_vacuous, b_vacuous).0
-}
-
-/// [`and_decomposable`] plus the solver statistics of the check.
-pub fn and_decomposable_with_stats(
-    m: &mut Manager,
-    f: NodeId,
-    vars: &[VarId],
-    a_vacuous: &[VarId],
-    b_vacuous: &[VarId],
-) -> (bool, SolverStats) {
-    let nf = m.not(f);
-    or_decomposable_with_stats(m, nf, vars, a_vacuous, b_vacuous)
+    unlimited(|gov| try_and_decomposable(m, f, vars, a_vacuous, b_vacuous, u64::MAX, gov)).0
 }
 
 /// Governed, conflict-budgeted twin of [`and_decomposable`].
@@ -288,21 +261,7 @@ pub fn xor_decomposable(
     a_vacuous: &[VarId],
     b_vacuous: &[VarId],
 ) -> bool {
-    xor_decomposable_with_stats(m, f, vars, a_vacuous, b_vacuous).0
-}
-
-/// [`xor_decomposable`] plus the solver statistics of the check.
-pub fn xor_decomposable_with_stats(
-    m: &Manager,
-    f: NodeId,
-    vars: &[VarId],
-    a_vacuous: &[VarId],
-    b_vacuous: &[VarId],
-) -> (bool, SolverStats) {
-    let mut solver = Solver::new();
-    encode_xor_formula(&mut solver, m, f, vars, a_vacuous, b_vacuous);
-    let dec = !solver.solve().is_sat();
-    (dec, solver.stats)
+    unlimited(|gov| try_xor_decomposable(m, f, vars, a_vacuous, b_vacuous, u64::MAX, gov)).0
 }
 
 /// Encodes the four-copy XOR-decomposability refutation formula into
@@ -489,33 +448,8 @@ pub fn decomposable(
     a_vacuous: &[VarId],
     b_vacuous: &[VarId],
 ) -> bool {
-    decomposable_with_stats(m, kind, interval, vars, a_vacuous, b_vacuous).0
-}
-
-/// [`decomposable`] plus the solver statistics of the dispatched check.
-pub fn decomposable_with_stats(
-    m: &mut Manager,
-    kind: crate::DecKind,
-    interval: &Interval,
-    vars: &[VarId],
-    a_vacuous: &[VarId],
-    b_vacuous: &[VarId],
-) -> (bool, SolverStats) {
-    assert!(
-        interval.is_exact(),
-        "the SAT baseline handles completely specified functions"
-    );
-    match kind {
-        crate::DecKind::Or => {
-            or_decomposable_with_stats(m, interval.lower, vars, a_vacuous, b_vacuous)
-        }
-        crate::DecKind::And => {
-            and_decomposable_with_stats(m, interval.lower, vars, a_vacuous, b_vacuous)
-        }
-        crate::DecKind::Xor => {
-            xor_decomposable_with_stats(m, interval.lower, vars, a_vacuous, b_vacuous)
-        }
-    }
+    unlimited(|gov| try_decomposable(m, kind, interval, vars, a_vacuous, b_vacuous, u64::MAX, gov))
+        .0
 }
 
 /// Governed, conflict-budgeted twin of [`decomposable`]: dispatches the
@@ -697,7 +631,9 @@ mod tests {
         let vars: Vec<VarId> = (0..4u32).map(VarId).collect();
         let a = [VarId(2), VarId(3)];
         let b = [VarId(0), VarId(1)];
-        let (dec, stats) = or_decomposable_with_stats(&m, f, &vars, &a, &b);
+        let gov = ResourceGovernor::unlimited();
+        let (dec, stats) =
+            try_or_decomposable(&m, f, &vars, &a, &b, u64::MAX, &gov).expect("unlimited");
         assert_eq!(dec, or_decomposable(&m, f, &vars, &a, &b));
         assert!(dec);
         // A refutation of a multi-copy formula does real propagation.
@@ -708,14 +644,9 @@ mod tests {
         assert!(grow_stats.propagations > 0);
         assert!(grow_stats.conflicts >= stats.conflicts.min(1));
         let iv = Interval::exact(f);
-        let (dec2, xstats) = decomposable_with_stats(
-            &mut m,
-            crate::DecKind::Xor,
-            &iv,
-            &vars,
-            &a,
-            &b,
-        );
+        let (dec2, xstats) =
+            try_decomposable(&mut m, crate::DecKind::Xor, &iv, &vars, &a, &b, u64::MAX, &gov)
+                .expect("unlimited");
         assert_eq!(dec2, xor_decomposable(&m, f, &vars, &a, &b));
         assert!(xstats.propagations > 0);
     }

@@ -455,9 +455,11 @@ impl Solver {
     ///
     /// # Panics
     ///
-    /// Panics if called after a solve left decisions on the trail (the
-    /// solver always backtracks fully, so this only guards misuse) or if
-    /// a literal mentions an undeclared variable.
+    /// Panics if decisions are on the trail, or if a literal mentions an
+    /// undeclared variable. A solve that ends `Sat` returns with its model
+    /// still on the trail (above decision level 0), so adding a clause
+    /// right after a `Sat` verdict panics; `Unsat` and `Unknown` verdicts
+    /// backtrack to level 0 before returning.
     pub fn add_clause<I: IntoIterator<Item = Lit>>(&mut self, lits: I) -> bool {
         assert!(self.trail_lim.is_empty(), "clauses must be added at decision level 0");
         if !self.ok {

@@ -209,7 +209,6 @@ pub(crate) fn optimize_parallel(
                     report.steps.budget_exhausted_ops += stats.budget_exhausted_ops;
                     report.steps.fallbacks_taken += stats.fallbacks_taken;
                     report.steps.rescued_checks += stats.rescued_checks;
-                    report.steps.portfolio.absorb(&stats.portfolio);
                     report.budget_exhausted_ops += stats.budget_exhausted_ops + dropped;
                     report.fallbacks_taken += stats.fallbacks_taken;
                     if options.accept_only_improvements

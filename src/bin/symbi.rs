@@ -5,7 +5,7 @@
 //! symbi convert   <in> <out>
 //! symbi optimize  <in> [-o <out>] [--no-states] [--max-support N] [--no-xor]
 //!                 [--sweep] [--sweep-rounds N] [--sweep-conflicts N]
-//!                 [--dec-backend bdd|sat|portfolio] [--sat-conflicts N]
+//!                 [--dec-backend bdd|sat] [--sat-conflicts N]
 //!                 [--budget-steps N] [--budget-nodes N] [--timeout-ms N]
 //!                 [--jobs N] [--shared-workers N] [--cache-bits N]
 //!                 [--no-auto-gc] [--auto-reorder] [--cluster-limit N]
@@ -41,9 +41,7 @@
 //! `--dec-backend` arms the decomposability *rescue rung*: when the
 //! symbolic partition search exhausts its budget, `sat` proves a fixed
 //! midpoint split with the CDCL solver before the ladder degrades to
-//! greedy growth, and `portfolio` races a budgeted BDD check against the
-//! SAT check on two threads — the first sound verdict wins and the loser
-//! is cancelled. `bdd` (the default) skips the rung. `--sat-conflicts N`
+//! greedy growth; `bdd` (the default) skips the rung. `--sat-conflicts N`
 //! caps solver effort per check.
 //!
 //! The BDD kernel knobs tune the reachability managers: `--cache-bits N`
@@ -113,7 +111,7 @@ usage:
   symbi convert   <in> <out>
   symbi optimize  <in> [-o <out>] [--no-states] [--max-support N] [--no-xor]
                   [--sweep] [--sweep-rounds N] [--sweep-conflicts N]
-                  [--dec-backend bdd|sat|portfolio] [--sat-conflicts N]
+                  [--dec-backend bdd|sat] [--sat-conflicts N]
                   [--budget-steps N] [--budget-nodes N] [--timeout-ms N]
                   [--jobs N] [--shared-workers N] [--cache-bits N]
                   [--no-auto-gc] [--auto-reorder] [--cluster-limit N]
@@ -328,18 +326,8 @@ fn cmd_optimize(args: &[String]) -> Result<(), String> {
             report.candidates_skipped, report.budget_exhausted_ops, report.fallbacks_taken
         );
     }
-    if report.steps.rescued_checks > 0 || report.steps.portfolio.races > 0 {
-        let p = &report.steps.portfolio;
-        println!(
-            "rescue rung: {} partition(s) saved; portfolio races {} \
-             (bdd wins {}, sat wins {}, cancels {}, {:.1} ms)",
-            report.steps.rescued_checks,
-            p.races,
-            p.bdd_wins,
-            p.sat_wins,
-            p.cancels,
-            p.wall_nanos as f64 / 1e6
-        );
+    if report.steps.rescued_checks > 0 {
+        println!("rescue rung: {} partition(s) saved", report.steps.rescued_checks);
     }
     println!(
         "mapped area {:.1} → {:.1} ({:.3}), delay {:.1} → {:.1} ({:.3})",

@@ -160,72 +160,18 @@ fn backend_sweep_is_identical_at_default_budgets() {
     use symbi::core::recursive::DecBackend;
     let n = iscas_like::by_name("s344").expect("known circuit");
     let mut reference: Option<String> = None;
-    for backend in [DecBackend::Bdd, DecBackend::Sat, DecBackend::Portfolio] {
+    for backend in [DecBackend::Bdd, DecBackend::Sat] {
         let mut options = SynthesisOptions::default();
         options.decompose.backend = backend;
         assert_deterministic(&n, &options);
         let (net, report) = optimize(&n, &options);
         assert_eq!(report.steps.rescued_checks, 0, "{backend}: no budget trip, no rescue");
-        assert_eq!(report.steps.portfolio.races, 0, "{backend}: no rescue, no race");
         let text = bench::write(&net);
         match &reference {
             None => reference = Some(text),
             Some(r) => assert_eq!(r, &text, "backend {backend} diverged from bdd"),
         }
     }
-}
-
-/// Disjoint two-block cones `(a·b) + (c·d)` — the rescue-rung family
-/// (see `symbi_bench::two_block_cones`, replicated here so the oracle
-/// binary does not depend on the bench crate).
-fn two_block_cones(blocks: usize) -> Netlist {
-    let mut n = Netlist::new("two_block");
-    for i in 0..blocks {
-        let a = n.add_input(format!("a{i}"));
-        let b = n.add_input(format!("b{i}"));
-        let c = n.add_input(format!("c{i}"));
-        let d = n.add_input(format!("d{i}"));
-        let ab = n.add_gate(format!("ab{i}"), GateKind::And, vec![a, b]);
-        let cd = n.add_gate(format!("cd{i}"), GateKind::And, vec![c, d]);
-        let o = n.add_gate(format!("o{i}"), GateKind::Or, vec![ab, cd]);
-        n.add_output(format!("f{i}"), o);
-    }
-    n
-}
-
-#[test]
-fn portfolio_rescue_netlist_is_independent_of_the_race_winner() {
-    // Tight budgets engage the portfolio race on the rescue rung. The
-    // race prepays its step budget, so the emitted netlist is a pure
-    // function of the limits — never of which arm wins or how fast the
-    // loser drains. Every configuration, re-run, must reproduce its
-    // bytes exactly; the budget list brackets the family's rescue
-    // window so at least one configuration really races.
-    use symbi::core::recursive::DecBackend;
-    let n = two_block_cones(2);
-    let jobs = par_jobs();
-    let mut raced = false;
-    for budget in [1024u64, 1797, 2246, 2807, 3508, 4385, 8192] {
-        for j in [1, jobs] {
-            let mut options = SynthesisOptions { reach: None, jobs: j, ..Default::default() };
-            options.decompose.use_xor = false;
-            options.decompose.backend = DecBackend::Portfolio;
-            options.budget.candidate_steps = budget;
-            let (net_a, rep_a) = optimize(&n, &options);
-            let (net_b, rep_b) = optimize(&n, &options);
-            assert_eq!(
-                bench::write(&net_a),
-                bench::write(&net_b),
-                "budget {budget} jobs {j}: race winner leaked into the netlist"
-            );
-            assert_eq!(
-                rep_a.steps.rescued_checks, rep_b.steps.rescued_checks,
-                "budget {budget} jobs {j}: rescue count must be reproducible"
-            );
-            raced |= rep_a.steps.portfolio.races > 0;
-        }
-    }
-    assert!(raced, "no budget engaged the race — the oracle exercised nothing");
 }
 
 /// Seeded random sequential netlist: gates only reference earlier
